@@ -4,8 +4,8 @@
 //! references `A[g_k(i)]`.  The compile-time analysis only needs to invert
 //! and image these maps over index ranges; with `|a| = 1` (the shifts and
 //! identities that dominate real stencil codes) both directions map
-//! contiguous ranges to contiguous ranges, which keeps every derived set a
-//! union of a few ranges.
+//! contiguous ranges to contiguous ranges, so an image or preimage has at
+//! most as many ranges as its argument and costs one sort of them.
 
 use distrib::{IndexRange, IndexSet};
 

@@ -61,14 +61,6 @@ impl LoopSpec {
         let pre = self.on_map.preimage(&local_on, bound);
         pre.intersect(&IndexSet::from_range(self.range.0, self.range.1))
     }
-
-    /// The paper's set `ref(p)` for reference `k`: iterations whose `k`-th
-    /// reference is local to `p`.
-    pub fn ref_set(&self, rank: usize, k: usize) -> IndexSet {
-        let bound = self.range.1;
-        let local_data = self.data_dist.local_set(rank);
-        self.ref_maps[k].preimage(&local_data, bound)
-    }
 }
 
 /// Attempt the compile-time analysis for processor `rank`.
@@ -80,61 +72,75 @@ impl LoopSpec {
 /// so *no* inspector communication is needed, the defining advantage of the
 /// compile-time path.
 pub fn analyze(spec: &LoopSpec, rank: usize) -> Option<CommSchedule> {
-    if !spec.ref_maps.iter().all(AffineMap::is_unit_stride) {
-        return None;
-    }
-    let nprocs = spec.on_dist.nprocs();
-    if spec.data_dist.nprocs() != nprocs {
-        return None;
-    }
-    let data_n = spec.data_dist.n();
+    closed_form(
+        rank,
+        spec.on_dist.nprocs(),
+        &spec.data_dist,
+        &spec.ref_maps,
+        spec.range.1,
+        |q| spec.exec_set(q),
+    )
+}
 
-    let exec_p = spec.exec_set(rank);
-    let local_data_p = spec.data_dist.local_set(rank);
+/// The §3.2 formulas, shared by the contiguous and the stripe analysers.
+///
+/// `exec_set(q)` gives `exec(q)` for every processor `q < nprocs`; iteration
+/// indices lie below `iter_bound`.  Every processor's `exec` and
+/// `local_data` set is built exactly once, so the whole analysis costs a
+/// fixed number of linear passes over those sets' ranges.  Returns `None`
+/// under the same conditions as [`analyze`], or when the two distributions
+/// disagree on the processor count.
+pub(crate) fn closed_form(
+    rank: usize,
+    nprocs: usize,
+    data_dist: &DimDist,
+    ref_maps: &[AffineMap],
+    iter_bound: usize,
+    exec_set: impl Fn(usize) -> IndexSet,
+) -> Option<CommSchedule> {
+    if !ref_maps.iter().all(AffineMap::is_unit_stride) || data_dist.nprocs() != nprocs {
+        return None;
+    }
+    let data_n = data_dist.n();
+    let exec: Vec<IndexSet> = (0..nprocs).map(exec_set).collect();
+    let local_data: Vec<IndexSet> = (0..nprocs).map(|q| data_dist.local_set(q)).collect();
+    // ∪_k g_k(exec(q)), clipped to the array.
+    let referenced = |exec_q: &IndexSet| {
+        ref_maps.iter().fold(IndexSet::new(), |acc, g| {
+            acc.union(&g.image(exec_q, data_n))
+        })
+    };
+    let (exec_p, local_data_p) = (&exec[rank], &local_data[rank]);
 
     // Iterations with at least one nonlocal reference: exec(p) ∩
     // ∪_k g_k⁻¹(Arr − local_data(p)).  References falling outside the array
     // bounds are treated as absent (the inspector behaves the same way).
-    let nonowned = IndexSet::from_range(0, data_n).difference(&local_data_p);
-    let mut nonlocal_set = IndexSet::new();
-    for g in &spec.ref_maps {
-        nonlocal_set = nonlocal_set.union(&g.preimage(&nonowned, spec.range.1));
-    }
+    let nonowned = IndexSet::from_range(0, data_n).difference(local_data_p);
+    let nonlocal_set = ref_maps.iter().fold(IndexSet::new(), |acc, g| {
+        acc.union(&g.preimage(&nonowned, iter_bound))
+    });
     let nonlocal_set = exec_p.intersect(&nonlocal_set);
-    let all_local = exec_p.difference(&nonlocal_set);
-    let local_iters: Vec<usize> = all_local.iter().collect();
+    let local_iters: Vec<usize> = exec_p.difference(&nonlocal_set).iter().collect();
     let nonlocal_iters: Vec<usize> = nonlocal_set.iter().collect();
 
-    // Elements referenced by p: ∪_k g_k(exec(p)).
-    let mut referenced = IndexSet::new();
-    for g in &spec.ref_maps {
-        referenced = referenced.union(&g.image(&exec_p, data_n));
-    }
-
-    // in(p,q) = referenced ∩ local_data(q), for q ≠ p.
-    let mut recv_sets = vec![IndexSet::new(); nprocs];
-    for (q, slot) in recv_sets.iter_mut().enumerate() {
-        if q == rank {
-            continue;
-        }
-        *slot = referenced.intersect(&spec.data_dist.local_set(q));
-    }
+    // in(p,q) = ∪_k g_k(exec(p)) ∩ local_data(q), for q ≠ p.
+    let referenced_p = referenced(exec_p);
+    let recv_sets: Vec<IndexSet> = (0..nprocs)
+        .map(|q| {
+            if q == rank {
+                IndexSet::new()
+            } else {
+                referenced_p.intersect(&local_data[q])
+            }
+        })
+        .collect();
     let mut schedule = CommSchedule::from_recv_sets(rank, &recv_sets, local_iters, nonlocal_iters);
 
     // out(p,q) = (∪_k g_k(exec(q))) ∩ local_data(p) = in(q,p): computable
     // locally because exec(q) has a closed form too.
     let mut send_records = Vec::new();
-    for q in 0..nprocs {
-        if q == rank {
-            continue;
-        }
-        let exec_q = spec.exec_set(q);
-        let mut referenced_q = IndexSet::new();
-        for g in &spec.ref_maps {
-            referenced_q = referenced_q.union(&g.image(&exec_q, data_n));
-        }
-        let out_pq = referenced_q.intersect(&local_data_p);
-        for r in out_pq.ranges() {
+    for q in (0..nprocs).filter(|&q| q != rank) {
+        for r in referenced(&exec[q]).intersect(local_data_p).ranges() {
             send_records.push(RangeRecord {
                 from_proc: rank,
                 to_proc: q,

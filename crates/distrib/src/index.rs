@@ -2,12 +2,22 @@
 //!
 //! The paper's whole analysis is phrased in terms of sets of array indices
 //! and loop iterations: `local(p)`, `exec(p) = f⁻¹(local(p))`,
-//! `ref(p) = g⁻¹(local(p))`, `in(p,q)`, `out(p,q)` (§3.1).  For the
-//! one-dimensional distributions Kali supports, these sets are unions of a
-//! small number of contiguous ranges, so we represent them as sorted,
-//! coalesced, half-open ranges — the same representation the paper chooses
-//! for its communication records (§3.3), which gives O(log r) membership
-//! tests and compact messages.
+//! `ref(p) = g⁻¹(local(p))`, `in(p,q)`, `out(p,q)` (§3.1).  We represent
+//! them as sorted, coalesced, half-open ranges — the same representation
+//! the paper chooses for its communication records (§3.3).  The regular
+//! distributions give a few ranges per processor, but an owner table from a
+//! mesh partitioner fragments `local(p)` into thousands, so every operation
+//! is bounded by the number of ranges `r` it touches, never by the number
+//! of indices and never quadratic in `r`:
+//!
+//! | operation | cost |
+//! |---|---|
+//! | [`contains`](IndexSet::contains) | O(log r) |
+//! | [`union`](IndexSet::union), [`intersect`](IndexSet::intersect), [`difference`](IndexSet::difference), [`is_disjoint`](IndexSet::is_disjoint), [`is_subset`](IndexSet::is_subset) | O(r₁ + r₂), one merge pass |
+//! | [`insert_range`](IndexSet::insert_range), [`insert`](IndexSet::insert) | O(log r) search, plus a splice of the touched window and the tail shift |
+//! | [`from_ranges`](IndexSet::from_ranges) | O(r log r), one sort and one coalescing pass |
+//! | [`from_indices`](IndexSet::from_indices) | O(n) for ascending input, O(n + r log r) otherwise |
+//! | [`len`](IndexSet::len) | O(r) |
 
 /// A half-open range of indices `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,42 +73,54 @@ impl IndexSet {
 
     /// A set containing a single contiguous range.
     pub fn from_range(start: usize, end: usize) -> Self {
-        let mut s = IndexSet::new();
-        s.insert_range(IndexRange::new(start, end));
-        s
-    }
-
-    /// Build a set from arbitrary (possibly overlapping, unsorted) ranges.
-    pub fn from_ranges<I: IntoIterator<Item = IndexRange>>(ranges: I) -> Self {
-        let mut s = IndexSet::new();
-        for r in ranges {
-            s.insert_range(r);
+        let r = IndexRange::new(start, end);
+        IndexSet {
+            ranges: if r.is_empty() { Vec::new() } else { vec![r] },
         }
-        s
     }
 
-    /// Build a set from individual indices (duplicates are fine).
+    /// Build a set from arbitrary (possibly overlapping, unsorted, empty)
+    /// ranges: one sort, then one coalescing pass.
+    pub fn from_ranges<I: IntoIterator<Item = IndexRange>>(ranges: I) -> Self {
+        let mut ranges: Vec<IndexRange> = ranges.into_iter().filter(|r| !r.is_empty()).collect();
+        ranges.sort_unstable_by_key(|r| r.start);
+        IndexSet::coalesced(ranges)
+    }
+
+    /// The set of non-empty `ranges` already sorted by start, merging
+    /// neighbours that overlap or touch in one pass, in place.
+    fn coalesced(mut ranges: Vec<IndexRange>) -> Self {
+        ranges.dedup_by(|next, kept| {
+            let touches = next.start <= kept.end;
+            if touches {
+                kept.end = kept.end.max(next.end);
+            }
+            touches
+        });
+        IndexSet { ranges }
+    }
+
+    /// Build a set from individual indices (duplicates are fine).  Runs of
+    /// consecutive indices are gathered in one pass; only input that is not
+    /// ascending pays a sort of those runs.
     pub fn from_indices<I: IntoIterator<Item = usize>>(indices: I) -> Self {
-        let mut v: Vec<usize> = indices.into_iter().collect();
-        v.sort_unstable();
-        v.dedup();
-        let mut s = IndexSet::new();
-        let mut iter = v.into_iter();
-        if let Some(first) = iter.next() {
-            let mut start = first;
-            let mut prev = first;
-            for i in iter {
-                if i == prev + 1 {
-                    prev = i;
-                } else {
-                    s.ranges.push(IndexRange::new(start, prev + 1));
-                    start = i;
-                    prev = i;
+        let mut runs: Vec<IndexRange> = Vec::new();
+        let mut ascending = true;
+        for i in indices {
+            match runs.last_mut() {
+                Some(last) if last.contains(i) => {}
+                Some(last) if i == last.end => last.end += 1,
+                last => {
+                    ascending &= last.is_none_or(|l| i > l.end);
+                    runs.push(IndexRange::new(i, i + 1));
                 }
             }
-            s.ranges.push(IndexRange::new(start, prev + 1));
         }
-        s
+        if ascending {
+            IndexSet { ranges: runs }
+        } else {
+            IndexSet::from_ranges(runs)
+        }
     }
 
     /// The coalesced ranges, sorted by start index.
@@ -136,17 +158,23 @@ impl IndexSet {
             .is_ok()
     }
 
-    /// Insert one range, merging with neighbours as needed.
+    /// Insert one range, merging with the neighbours it overlaps or
+    /// touches.  A binary search finds that window; only it is replaced.
     pub fn insert_range(&mut self, r: IndexRange) {
         if r.is_empty() {
             return;
         }
-        // Find insertion point by start.
-        let pos = self
-            .ranges
-            .partition_point(|existing| existing.start < r.start);
-        self.ranges.insert(pos, r);
-        self.coalesce();
+        let lo = self.ranges.partition_point(|x| x.end < r.start);
+        let hi = self.ranges.partition_point(|x| x.start <= r.end);
+        if lo == hi {
+            self.ranges.insert(lo, r);
+        } else {
+            let merged = IndexRange::new(
+                r.start.min(self.ranges[lo].start),
+                r.end.max(self.ranges[hi - 1].end),
+            );
+            self.ranges.splice(lo..hi, [merged]);
+        }
     }
 
     /// Insert a single index.
@@ -154,33 +182,22 @@ impl IndexSet {
         self.insert_range(IndexRange::new(i, i + 1));
     }
 
-    fn coalesce(&mut self) {
-        if self.ranges.is_empty() {
-            return;
-        }
-        self.ranges.sort_by_key(|r| r.start);
-        let mut merged: Vec<IndexRange> = Vec::with_capacity(self.ranges.len());
-        for r in self.ranges.drain(..) {
-            if r.is_empty() {
-                continue;
-            }
-            match merged.last_mut() {
-                Some(last) if r.start <= last.end => {
-                    last.end = last.end.max(r.end);
-                }
-                _ => merged.push(r),
-            }
-        }
-        self.ranges = merged;
-    }
-
-    /// Set union.
+    /// Set union: one merge pass over both range lists by start, then one
+    /// coalescing pass.
     pub fn union(&self, other: &IndexSet) -> IndexSet {
-        let mut s = self.clone();
-        for r in &other.ranges {
-            s.insert_range(*r);
+        let mut merged = Vec::with_capacity(self.ranges.len() + other.ranges.len());
+        let (mut a, mut b) = (
+            self.ranges.iter().peekable(),
+            other.ranges.iter().peekable(),
+        );
+        while let Some(&r) = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.start < x.start => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        } {
+            merged.push(r);
         }
-        s
+        IndexSet::coalesced(merged)
     }
 
     /// Set intersection.
@@ -347,6 +364,35 @@ mod tests {
             proptest::collection::vec(0usize..200, 0..60)
         }
 
+        /// Range lists in no particular order: short ranges that often
+        /// overlap or touch, empty ones, and reversed (`start > end`) ones.
+        fn arb_ranges() -> impl Strategy<Value = Vec<IndexRange>> {
+            let range = prop_oneof![
+                (0usize..200, 0usize..20).prop_map(|(s, len)| IndexRange::new(s, s + len)),
+                (0usize..200, 0usize..200).prop_map(|(s, e)| IndexRange::new(s, e)),
+            ];
+            proptest::collection::vec(range, 0..40)
+        }
+
+        fn model(ranges: &[IndexRange]) -> BTreeSet<usize> {
+            ranges.iter().flat_map(|r| r.start..r.end).collect()
+        }
+
+        /// The representation invariant: non-empty ranges, sorted and
+        /// strictly separated (touching ranges must have been merged).
+        fn assert_canonical(s: &IndexSet) {
+            for r in s.ranges() {
+                assert!(r.start < r.end, "empty range {r:?} in {s:?}");
+            }
+            for w in s.ranges().windows(2) {
+                assert!(w[0].end < w[1].start, "ranges not separated in {s:?}");
+            }
+        }
+
+        fn elements(s: &IndexSet) -> Vec<usize> {
+            s.iter().collect()
+        }
+
         proptest! {
             #[test]
             fn set_semantics_match_btreeset(a in arb_indices(), b in arb_indices()) {
@@ -379,6 +425,46 @@ mod tests {
                     prop_assert!(r.start < r.end);
                 }
                 prop_assert_eq!(s.len(), a.iter().copied().collect::<BTreeSet<_>>().len());
+            }
+
+            #[test]
+            fn from_ranges_matches_the_model(rs in arb_ranges()) {
+                let s = IndexSet::from_ranges(rs.iter().copied());
+                assert_canonical(&s);
+                prop_assert_eq!(elements(&s), model(&rs).into_iter().collect::<Vec<_>>());
+            }
+
+            #[test]
+            fn repeated_insert_range_matches_the_model(init in arb_ranges(), rs in arb_ranges()) {
+                let mut s = IndexSet::from_ranges(init.iter().copied());
+                let mut m = model(&init);
+                for r in &rs {
+                    s.insert_range(*r);
+                    m.extend(r.start..r.end);
+                    assert_canonical(&s);
+                    prop_assert_eq!(elements(&s), m.iter().copied().collect::<Vec<_>>());
+                }
+            }
+
+            #[test]
+            fn union_of_range_lists_matches_the_model(a in arb_ranges(), b in arb_ranges()) {
+                let sa = IndexSet::from_ranges(a.iter().copied());
+                let sb = IndexSet::from_ranges(b.iter().copied());
+                let u = sa.union(&sb);
+                assert_canonical(&u);
+                let expect: Vec<usize> = model(&a).union(&model(&b)).copied().collect();
+                prop_assert_eq!(elements(&u), expect);
+                prop_assert_eq!(&u, &sb.union(&sa));
+                prop_assert_eq!(&u, &IndexSet::from_ranges(a.iter().chain(&b).copied()));
+            }
+
+            #[test]
+            fn from_indices_agrees_on_ascending_and_shuffled_input(a in arb_indices()) {
+                let mut ascending = a.clone();
+                ascending.sort_unstable();
+                let s = IndexSet::from_indices(ascending.iter().copied());
+                assert_canonical(&s);
+                prop_assert_eq!(&s, &IndexSet::from_indices(a.iter().copied()));
             }
 
             #[test]

@@ -119,6 +119,7 @@ impl Distribution for IrregularDist {
     }
 
     fn local_set(&self, rank: usize) -> IndexSet {
+        // `locals[rank]` is ascending: one pass gathers its runs, no sort.
         IndexSet::from_indices(self.locals[rank].iter().copied())
     }
 

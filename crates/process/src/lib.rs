@@ -115,19 +115,30 @@ impl Counters {
 
     /// Element-wise difference `self - earlier`, for measuring a timed
     /// region from two snapshots.
+    ///
+    /// # Panics
+    ///
+    /// When a field of `earlier` is ahead of the same field of `self` —
+    /// `earlier` is then not an earlier snapshot of the same counters.  The
+    /// panic names the field, in debug and release builds alike.
     pub fn since(&self, earlier: &Counters) -> Counters {
+        let delta = |field: &str, now: u64, then: u64| {
+            now.checked_sub(then).unwrap_or_else(|| {
+                panic!("Counters::since: `{field}` of the earlier snapshot ({then}) is ahead of the later one ({now})")
+            })
+        };
         Counters {
-            msgs_sent: self.msgs_sent - earlier.msgs_sent,
-            msgs_recv: self.msgs_recv - earlier.msgs_recv,
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-            bytes_recv: self.bytes_recv - earlier.bytes_recv,
-            flops: self.flops - earlier.flops,
-            mem_refs: self.mem_refs - earlier.mem_refs,
-            loop_iters: self.loop_iters - earlier.loop_iters,
-            calls: self.calls - earlier.calls,
-            nonlocal_refs: self.nonlocal_refs - earlier.nonlocal_refs,
+            msgs_sent: delta("msgs_sent", self.msgs_sent, earlier.msgs_sent),
+            msgs_recv: delta("msgs_recv", self.msgs_recv, earlier.msgs_recv),
+            bytes_sent: delta("bytes_sent", self.bytes_sent, earlier.bytes_sent),
+            bytes_recv: delta("bytes_recv", self.bytes_recv, earlier.bytes_recv),
+            flops: delta("flops", self.flops, earlier.flops),
+            mem_refs: delta("mem_refs", self.mem_refs, earlier.mem_refs),
+            loop_iters: delta("loop_iters", self.loop_iters, earlier.loop_iters),
+            calls: delta("calls", self.calls, earlier.calls),
+            nonlocal_refs: delta("nonlocal_refs", self.nonlocal_refs, earlier.nonlocal_refs),
             queue_peak: self.queue_peak,
-            wire_bytes: self.wire_bytes - earlier.wire_bytes,
+            wire_bytes: delta("wire_bytes", self.wire_bytes, earlier.wire_bytes),
         }
     }
 }
@@ -512,6 +523,75 @@ mod tests {
         let sum = a.merge(&b);
         assert_eq!(sum.since(&b), a);
         assert_eq!(sum.since(&a), b);
+    }
+
+    #[test]
+    fn since_is_the_per_field_delta() {
+        let earlier = Counters {
+            msgs_sent: 1,
+            msgs_recv: 2,
+            bytes_sent: 3,
+            bytes_recv: 4,
+            flops: 5,
+            mem_refs: 6,
+            loop_iters: 7,
+            calls: 8,
+            nonlocal_refs: 9,
+            queue_peak: 10,
+            wire_bytes: 11,
+        };
+        let later = Counters {
+            msgs_sent: 11,
+            msgs_recv: 22,
+            bytes_sent: 33,
+            bytes_recv: 44,
+            flops: 55,
+            mem_refs: 66,
+            loop_iters: 77,
+            calls: 88,
+            nonlocal_refs: 99,
+            queue_peak: 4,
+            wire_bytes: 111,
+        };
+        let expect = Counters {
+            msgs_sent: 10,
+            msgs_recv: 20,
+            bytes_sent: 30,
+            bytes_recv: 40,
+            flops: 50,
+            mem_refs: 60,
+            loop_iters: 70,
+            calls: 80,
+            nonlocal_refs: 90,
+            queue_peak: 4, // a peak passes through
+            wire_bytes: 100,
+        };
+        assert_eq!(later.since(&earlier), expect);
+        assert_eq!(
+            later.since(&later),
+            Counters {
+                queue_peak: 4,
+                ..Counters::default()
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "`msgs_recv` of the earlier snapshot (5) is ahead of the later one (3)"
+    )]
+    fn since_panics_naming_the_field_when_earlier_is_ahead() {
+        let later = Counters {
+            msgs_sent: 9,
+            msgs_recv: 3,
+            ..Counters::default()
+        };
+        let earlier = Counters {
+            msgs_sent: 1,
+            msgs_recv: 5,
+            ..Counters::default()
+        };
+        later.since(&earlier);
     }
 
     /// A minimal single-rank Process exercising the trait defaults.

@@ -22,7 +22,8 @@
 //!    [`Sum<f64>`](kali_core::Sum) in the fixed deterministic order.
 //! 2. **update + dot** — `x += α·p`, `r −= α·q`, fused with the reduction
 //!    producing the new residual norm `⟨r, r⟩` (the identity-subscript loop
-//!    plans through the closed form: zero planning messages).
+//!    plans through the closed form: zero planning messages, and work
+//!    linear in the ranges of the owner table's `local(p)` sets).
 //! 3. **direction** — `p := r + β·p`, a plain local sweep.
 //!
 //! The residual history — one `⟨r, r⟩` per iteration — is **bitwise
@@ -175,9 +176,11 @@ pub fn cg_solve<P: Process>(
     let start_clock = proc.time();
     let counters_start = proc.counters();
 
-    // Identity-subscript loops plan through the closed form (zero planning
-    // messages); their schedules never depend on the adjacency, so they are
-    // planned once.
+    // Identity-subscript loops plan through the closed form: zero planning
+    // messages.  A partitioner's owner table fragments each rank's
+    // `local(p)` into thousands of ranges; the plan builds every rank's set
+    // once and its interval algebra is linear in those ranges.  Their
+    // schedules never depend on the adjacency, so they are planned once.
     let update_schedule = session.plan(proc, &update, dist, &[AffineMap::identity()]);
     let direction_schedule = session.plan(proc, &direction, dist, &[AffineMap::identity()]);
 

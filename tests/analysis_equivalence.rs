@@ -153,8 +153,42 @@ fn assert_schedule_is_exact(spec: &LoopSpec, rank: usize) {
     );
 }
 
+/// An owner table of `n` elements over `p` processors made of runs whose
+/// lengths (1 to 4) and owners are drawn from a seeded generator, so every
+/// `local(p)` fragments into many ranges — the shape a mesh partitioner's
+/// owner table has, and the path `cg_solve`'s closed-form plans take.
+fn run_length_owner_table(n: usize, p: usize, seed: u64) -> DimDist {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize
+    };
+    let mut owners = Vec::with_capacity(n);
+    while owners.len() < n {
+        let run = 1 + next() % 4;
+        let owner = next() % p;
+        owners.extend(std::iter::repeat_n(owner, run.min(n - owners.len())));
+    }
+    DimDist::custom(owners, p)
+}
+
+/// The distribution a random-loop case draws: block, cyclic, block-cyclic
+/// or a fragmented owner table.
+fn pick_dist(kind: usize, n: usize, p: usize, block: usize, seed: u64) -> DimDist {
+    match kind {
+        0 => DimDist::block(n, p),
+        1 => DimDist::cyclic(n, p),
+        2 => DimDist::block_cyclic(n, p, block),
+        _ => run_length_owner_table(n, p, seed),
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn compile_time_matches_inspector_for_random_affine_loops(
@@ -162,15 +196,12 @@ proptest! {
         p_exp in 1u32..4,
         shift_a in -3i64..4,
         shift_b in -3i64..4,
-        kind in 0usize..3,
+        kind in 0usize..4,
         block in 1usize..9,
+        seed in 0u64..1_000_000,
     ) {
         let p = 1usize << p_exp;
-        let dist = match kind {
-            0 => DimDist::block(n, p),
-            1 => DimDist::cyclic(n, p),
-            _ => DimDist::block_cyclic(n, p, block),
-        };
+        let dist = pick_dist(kind, n, p, block, seed);
         let spec = LoopSpec {
             range: (0, n),
             on_dist: dist.clone(),
@@ -189,14 +220,11 @@ proptest! {
         lo in 0usize..4,
         shift_a in -2i64..3,
         shift_b in -2i64..3,
-        kind in 0usize..3,
+        kind in 0usize..4,
         block in 1usize..9,
+        seed in 0u64..1_000_000,
     ) {
-        let dist = match kind {
-            0 => DimDist::block(n, p),
-            1 => DimDist::cyclic(n, p),
-            _ => DimDist::block_cyclic(n, p, block),
-        };
+        let dist = pick_dist(kind, n, p, block, seed);
         let spec = StripeSpec {
             lo,
             hi: n,
@@ -213,13 +241,10 @@ proptest! {
         n in 16usize..200,
         p in 2usize..10,
         shift in -4i64..5,
-        kind in 0usize..3,
+        kind in 0usize..4,
+        seed in 0u64..1_000_000,
     ) {
-        let dist = match kind {
-            0 => DimDist::block(n, p),
-            1 => DimDist::cyclic(n, p),
-            _ => DimDist::block_cyclic(n, p, 3),
-        };
+        let dist = pick_dist(kind, n, p, 3, seed);
         let spec = LoopSpec {
             range: (0, n),
             on_dist: dist.clone(),
