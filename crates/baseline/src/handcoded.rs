@@ -199,9 +199,9 @@ pub fn handcoded_jacobi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::sequential_jacobi;
     use dmsim::{CostModel, Machine};
     use meshes::{RegularGrid, UnstructuredMeshBuilder};
+    use solvers::jacobi_sequential;
 
     fn gather(nprocs: usize, mesh: &AdjacencyMesh, initial: &[f64], sweeps: usize) -> Vec<f64> {
         let machine = Machine::new(nprocs, CostModel::ideal());
@@ -221,7 +221,7 @@ mod tests {
         let grid = RegularGrid::square(16);
         let mesh = grid.five_point_mesh();
         let initial = grid.initial_field();
-        let expected = sequential_jacobi(&mesh, &initial, 9);
+        let expected = jacobi_sequential(&mesh, &initial, 9);
         for nprocs in [1, 2, 4, 8] {
             assert_eq!(
                 gather(nprocs, &mesh, &initial, 9),
@@ -235,7 +235,7 @@ mod tests {
     fn matches_sequential_on_unstructured_mesh() {
         let mesh = UnstructuredMeshBuilder::new(11, 13).seed(99).build();
         let initial: Vec<f64> = (0..mesh.len()).map(|i| (i as f64).sin()).collect();
-        let expected = sequential_jacobi(&mesh, &initial, 6);
+        let expected = jacobi_sequential(&mesh, &initial, 6);
         assert_eq!(gather(4, &mesh, &initial, 6), expected);
     }
 

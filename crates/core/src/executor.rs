@@ -17,6 +17,15 @@
 //! communication with computation; the received elements live in a
 //! communication buffer addressed through the binary-searchable range
 //! records of the [`CommSchedule`].
+//!
+//! [`execute_sweep`] is the one executor every `forall` runs on.  Its loop
+//! body is a read-only view of the sweep: it reads through a [`Fetcher`] and
+//! returns one value per iteration, and the caller's `sink` applies the
+//! writes on the rank's own thread.  Each iteration list runs in
+//! fixed-boundary chunks, inline at one worker or spread over an intra-rank
+//! worker pool ([`crate::pool`]); values, writes and metered costs merge in
+//! ascending iteration order, so the worker count and chunk size never
+//! change a result.
 
 use distrib::Distribution;
 
@@ -24,8 +33,8 @@ use crate::process::trace::EventKind;
 use crate::process::{tags, Process, Tag};
 use crate::schedule::CommSchedule;
 
-/// Default chunk length (in iterations) for the chunked executor when no
-/// explicit chunk size is configured.  Large enough that per-chunk overhead
+/// Default chunk length (in iterations) for the executor when no explicit
+/// chunk size is configured.  Large enough that per-chunk overhead
 /// (one result `Vec`, one cost flush) is negligible, small enough that a
 /// worker pool load-balances across chunks.
 pub const DEFAULT_CHUNK: usize = 2048;
@@ -39,13 +48,12 @@ pub struct ExecutorConfig {
     pub overlap: bool,
     /// Tag offset distinguishing successive executions (sweep number).
     pub tag: Tag,
-    /// Intra-rank worker threads for the chunked executor
-    /// ([`execute_sweep_chunked`]).  `1` (the default) runs every chunk
-    /// inline on the calling thread — no threads are spawned and behaviour
-    /// is identical to the scalar path.  Results never depend on this knob.
+    /// Intra-rank worker threads for [`execute_sweep`].  `1` (the default)
+    /// runs every chunk inline on the calling thread — no threads are
+    /// spawned.  Results never depend on this knob.
     pub workers: usize,
-    /// Chunk length for the chunked executor, in iterations; `0` (the
-    /// default) picks [`DEFAULT_CHUNK`].  Results never depend on this knob
+    /// Chunk length for [`execute_sweep`], in iterations; `0` (the default)
+    /// picks [`DEFAULT_CHUNK`].  Results never depend on this knob
     /// either — only the granularity of work distribution does.
     pub chunk: usize,
 }
@@ -104,167 +112,6 @@ impl ExecutorConfig {
         } else {
             DEFAULT_CHUNK
         }
-    }
-}
-
-/// Resolves global indices of the referenced array to values, charging the
-/// appropriate access costs: local accesses translate the index, nonlocal
-/// accesses binary-search the communication buffer (the "search overhead …
-/// unique to our system", §4).
-pub struct Fetcher<'a, T, P: Process, D: Distribution + ?Sized = dyn Distribution> {
-    proc: &'a mut P,
-    dist: &'a D,
-    rank: usize,
-    ranges: usize,
-    local_data: &'a [T],
-    recv_buf: &'a [T],
-    schedule: &'a CommSchedule,
-}
-
-impl<'a, T: Copy, P: Process, D: Distribution + ?Sized> Fetcher<'a, T, P, D> {
-    /// Fetch the value of global element `g` of the referenced array.
-    ///
-    /// Panics if `g` is neither owned nor covered by the schedule — that
-    /// means the schedule was built for a different reference pattern, which
-    /// is a correctness bug (the paper's system would read garbage).
-    pub fn fetch(&mut self, g: usize) -> T {
-        if self.dist.is_local(self.rank, g) {
-            self.proc.charge_local_access();
-            self.local_data[self.dist.local_index(g)]
-        } else {
-            // Look up first, charge after: charging before the lookup would
-            // leave the cost counters (and the simulated clock) inflated by
-            // an access that never happened when the schedule does not cover
-            // `g` and the panic below unwinds.
-            let pos = self.schedule.find(g).unwrap_or_else(|| {
-                panic!(
-                    "global index {g} is neither local to rank {} nor in its receive schedule",
-                    self.rank
-                )
-            });
-            self.proc.charge_nonlocal_access(self.ranges);
-            self.recv_buf[pos]
-        }
-    }
-
-    /// True when the element is stored locally (no communication needed).
-    pub fn is_local(&self, g: usize) -> bool {
-        self.dist.is_local(self.rank, g)
-    }
-
-    /// Access the underlying process handle, e.g. to charge the cost of
-    /// the loop body's own arithmetic.
-    pub fn proc(&mut self) -> &mut P {
-        self.proc
-    }
-}
-
-/// Execute one sweep of a `forall` whose nonlocal data movement is described
-/// by `schedule`.
-///
-/// * `data_dist` / `local_data` — distribution and local storage of the
-///   array referenced inside the loop body (the paper's `old_a`).
-/// * `body` — the loop body; it receives the global iteration index and a
-///   [`Fetcher`] for reading referenced elements.
-///
-/// Every processor must call this collectively.  Returns the number of
-/// iterations executed locally (for reporting).
-pub fn execute_sweep<P, D, T, F>(
-    proc: &mut P,
-    config: ExecutorConfig,
-    schedule: &CommSchedule,
-    data_dist: &D,
-    local_data: &[T],
-    mut body: F,
-) -> usize
-where
-    P: Process,
-    D: Distribution + ?Sized,
-    T: Copy + kali_process::Wire,
-    F: FnMut(usize, &mut Fetcher<'_, T, P, D>),
-{
-    let rank = proc.rank();
-    debug_assert_eq!(
-        schedule.rank, rank,
-        "schedule belongs to a different processor"
-    );
-    let tag = tags::executor_tag(config.tag);
-    send_phase(proc, schedule, data_dist, local_data, tag);
-
-    if config.overlap {
-        // Paper order: local iterations run while messages are in flight.
-        run_iters(
-            proc,
-            &schedule.local_iters,
-            schedule,
-            data_dist,
-            local_data,
-            &[],
-            &mut body,
-        );
-        let recv_buf = receive_all(proc, schedule, tag);
-        run_iters(
-            proc,
-            &schedule.nonlocal_iters,
-            schedule,
-            data_dist,
-            local_data,
-            &recv_buf,
-            &mut body,
-        );
-    } else {
-        // Ablation: no overlap — wait for all data first.
-        let recv_buf = receive_all(proc, schedule, tag);
-        run_iters(
-            proc,
-            &schedule.local_iters,
-            schedule,
-            data_dist,
-            local_data,
-            &recv_buf,
-            &mut body,
-        );
-        run_iters(
-            proc,
-            &schedule.nonlocal_iters,
-            schedule,
-            data_dist,
-            local_data,
-            &recv_buf,
-            &mut body,
-        );
-    }
-    schedule.local_iters.len() + schedule.nonlocal_iters.len()
-}
-
-/// Run a list of iterations of the loop body with the given receive buffer.
-fn run_iters<P, D, T, F>(
-    proc: &mut P,
-    iters: &[usize],
-    schedule: &CommSchedule,
-    data_dist: &D,
-    local_data: &[T],
-    recv_buf: &[T],
-    body: &mut F,
-) where
-    P: Process,
-    D: Distribution + ?Sized,
-    T: Copy,
-    F: FnMut(usize, &mut Fetcher<'_, T, P, D>),
-{
-    let rank = schedule.rank;
-    for &i in iters {
-        proc.charge_loop_iters(1);
-        let mut fetcher = Fetcher {
-            proc,
-            dist: data_dist,
-            rank,
-            ranges: schedule.range_count(),
-            local_data,
-            recv_buf,
-            schedule,
-        };
-        body(i, &mut fetcher);
     }
 }
 
@@ -341,32 +188,33 @@ where
 }
 
 // ----------------------------------------------------------------------
-// Chunked intra-rank parallel execution
+// Chunked iteration phases
 // ----------------------------------------------------------------------
 
 /// Cost counters accumulated by one chunk of iterations, merged into the
 /// process deterministically after the chunk completes.
 ///
-/// The chunked executor runs loop bodies off the rank's own thread, where no
-/// `&mut P` exists; bodies charge into this plain struct instead, and the
+/// Loop bodies may run off the rank's own thread, where no `&mut P` exists;
+/// they charge into this plain struct through the [`Fetcher`], and the
 /// executor flushes every chunk's counters **in ascending chunk order** at
 /// the phase boundary.  The bulk charge hooks repeat the singular ones, so
-/// a metering backend's clock sees the same additions as the scalar path —
-/// only their grouping changes, never the totals.
+/// a metering backend's clock sees the same additions at every
+/// `(workers, chunk)` setting — only their grouping follows the chunk
+/// boundaries, never the totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChunkCosts {
+struct ChunkCosts {
     /// Loop iterations of control overhead.
-    pub loop_iters: usize,
+    loop_iters: usize,
     /// Local memory references.
-    pub mem_refs: usize,
+    mem_refs: usize,
     /// Floating-point operations.
-    pub flops: usize,
+    flops: usize,
     /// Procedure calls.
-    pub calls: usize,
+    calls: usize,
     /// Local distributed-array accesses.
-    pub local_accesses: usize,
+    local_accesses: usize,
     /// Nonlocal accesses resolved by binary search.
-    pub nonlocal_accesses: usize,
+    nonlocal_accesses: usize,
 }
 
 impl ChunkCosts {
@@ -382,14 +230,17 @@ impl ChunkCosts {
     }
 }
 
-/// The chunked twin of [`Fetcher`]: resolves global indices to values for a
-/// loop body running inside a chunk, **without** a process handle.
+/// Resolves global indices of the referenced array to values for a loop
+/// body running inside a chunk: local accesses translate the index,
+/// nonlocal accesses look the element up in the communication buffer (the
+/// "search overhead … unique to our system", §4).
 ///
-/// Access costs (and any body arithmetic charged through the `charge_*`
-/// methods) accumulate in a per-chunk [`ChunkCosts`] that the executor
-/// merges deterministically afterwards, so the same body produces the same
+/// The fetcher holds no process handle, so a chunk can run on any worker
+/// thread.  Access costs — and the body's own arithmetic, charged through
+/// the `charge_*` methods — accumulate per chunk and are merged into the
+/// process deterministically afterwards, so the same body produces the same
 /// accounting at any worker count.
-pub struct ChunkFetcher<'a, T, D: Distribution + ?Sized = dyn Distribution> {
+pub struct Fetcher<'a, T, D: Distribution + ?Sized = dyn Distribution> {
     dist: &'a D,
     rank: usize,
     local_data: &'a [T],
@@ -407,13 +258,33 @@ pub struct ChunkFetcher<'a, T, D: Distribution + ?Sized = dyn Distribution> {
     costs: ChunkCosts,
 }
 
-impl<'a, T: Copy, D: Distribution + ?Sized> ChunkFetcher<'a, T, D> {
+impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
+    /// A fetcher with an empty window and no costs charged yet.
+    fn new(
+        schedule: &'a CommSchedule,
+        dist: &'a D,
+        local_data: &'a [T],
+        recv_buf: &'a [T],
+    ) -> Self {
+        Fetcher {
+            dist,
+            rank: schedule.rank,
+            local_data,
+            recv_buf,
+            schedule,
+            window: (0, 0, 0),
+            costs: ChunkCosts::default(),
+        }
+    }
+
     /// Fetch the value of global element `g` of the referenced array.
     ///
-    /// Panics if `g` is neither owned nor covered by the schedule, exactly
-    /// like [`Fetcher::fetch`]; the panic propagates to the calling rank
-    /// when the worker scope joins, and the chunk's costs are discarded
-    /// unflushed (nothing is charged for work that never completed).
+    /// Panics if `g` is neither owned nor covered by the schedule — that
+    /// means the schedule was built for a different reference pattern, which
+    /// is a correctness bug (the paper's system would read garbage).  The
+    /// lookup runs before the access is counted, and the panic propagates to
+    /// the calling rank with the chunk's costs discarded unflushed: nothing
+    /// is charged for work that never completed.
     pub fn fetch(&mut self, g: usize) -> T {
         if self.dist.is_local(self.rank, g) {
             self.costs.local_accesses += 1;
@@ -481,20 +352,12 @@ where
     D: Distribution + ?Sized + Sync,
     T: Copy + Sync,
     V: Send,
-    F: Fn(usize, &mut ChunkFetcher<'_, T, D>) -> V + Sync,
+    F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
 {
     let bounds = crate::pool::chunk_bounds(iters.len(), chunk);
     crate::pool::run_chunks(workers, bounds.len(), |ci| {
         let (start, end) = bounds[ci];
-        let mut fetcher = ChunkFetcher {
-            dist: data_dist,
-            rank: schedule.rank,
-            local_data,
-            recv_buf,
-            schedule,
-            window: (0, 0, 0),
-            costs: ChunkCosts::default(),
-        };
+        let mut fetcher = Fetcher::new(schedule, data_dist, local_data, recv_buf);
         let mut values = Vec::with_capacity(end - start);
         for &i in &iters[start..end] {
             fetcher.costs.loop_iters += 1;
@@ -528,31 +391,29 @@ fn apply_chunk_results<P, V, W>(
     debug_assert_eq!(cursor, iters.len(), "every iteration produced a value");
 }
 
-/// Execute one sweep of a `forall` with the **chunked intra-rank parallel
-/// executor**.
+/// Execute one sweep of a `forall` whose nonlocal data movement is described
+/// by `schedule`, in the code shape of Figure 3: send, local iterations,
+/// receive, nonlocal iterations.
 ///
-/// The communication structure is identical to [`execute_sweep`] (send,
-/// local iterations, receive, nonlocal iterations — Figure 3 of the paper);
-/// the difference is how an iteration list runs: it is split into
-/// deterministic fixed-boundary chunks ([`ExecutorConfig::chunk`]) executed
-/// on up to [`ExecutorConfig::workers`] threads via
-/// [`crate::pool::run_chunks`].
+/// * `data_dist` / `local_data` — distribution and local storage of the
+///   array referenced inside the loop body (the paper's `old_a`).
+/// * `body` — the loop body: a **read-only view** of the sweep (`Fn`, not
+///   `FnMut`) that receives the global iteration index and a [`Fetcher`]
+///   for reading referenced elements, and returns one value per iteration.
+/// * `sink` — applies the writes: `sink(i, value)` runs on the calling
+///   thread, in ascending iteration order within each phase.
 ///
-/// Determinism contract:
+/// Each phase's iteration list is split into deterministic fixed-boundary
+/// chunks ([`ExecutorConfig::chunk`]) executed on up to
+/// [`ExecutorConfig::workers`] threads via [`crate::pool::run_chunks`]; at
+/// one worker every chunk runs inline on the calling thread.  Per-chunk
+/// cost counters merge in ascending chunk order, so results and metered
+/// counters are a function of the schedule and the body alone — never of
+/// the worker count or chunk size.
 ///
-/// * `body` is a **read-only view** of the sweep: `Fn` (not `FnMut`),
-///   fetching through a [`ChunkFetcher`]; it returns one value per
-///   iteration instead of writing in place.
-/// * All writes happen on the calling thread through `sink(i, value)`,
-///   invoked in ascending iteration order within each phase.
-/// * Per-chunk cost counters merge in ascending chunk order, so metered
-///   totals match the scalar path at every `(workers, chunk)` setting.
-///
-/// Consequently results and counters are a function of the schedule and the
-/// body alone — never of the worker count or chunk size.
-///
-/// Returns the number of iterations executed locally.
-pub fn execute_sweep_chunked<P, D, T, V, F, W>(
+/// Every processor must call this collectively.  Returns the number of
+/// iterations executed locally (for reporting).
+pub fn execute_sweep<P, D, T, V, F, W>(
     proc: &mut P,
     config: ExecutorConfig,
     schedule: &CommSchedule,
@@ -566,7 +427,7 @@ where
     D: Distribution + ?Sized + Sync,
     T: Copy + Sync + kali_process::Wire,
     V: Send,
-    F: Fn(usize, &mut ChunkFetcher<'_, T, D>) -> V + Sync,
+    F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
     W: FnMut(usize, V),
 {
     let rank = proc.rank();
@@ -606,6 +467,7 @@ where
         let recv_buf = receive_all(proc, schedule, tag);
         run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf, &mut sink);
     } else {
+        // Ablation: no overlap — wait for all data first.
         let recv_buf = receive_all(proc, schedule, tag);
         run_phase(proc, 0, &schedule.local_iters, &recv_buf, &mut sink);
         run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf, &mut sink);
@@ -627,10 +489,21 @@ mod tests {
         crate::process::Counters { queue_peak: 0, ..c }
     }
 
-    /// Distributed array shift (Figure 1): A[i] := A[i+1].
-    fn run_shift(nprocs: usize, n: usize, overlap: bool) -> Vec<f64> {
-        let machine = Machine::new(nprocs, CostModel::ideal());
-        let results = machine.run(|proc| {
+    /// `(workers, chunk)` settings every knob-independence test sweeps; the
+    /// first point — one worker, default chunk — is the reference.
+    const KNOB_GRID: [(usize, usize); 7] =
+        [(1, 0), (1, 1), (1, 7), (2, 3), (3, 1), (4, 0), (4, 1024)];
+
+    /// Distributed array shift (Figure 1): A[i] := A[i+1].  Returns the
+    /// reassembled global array and the machine-wide counter totals.
+    fn run_shift(
+        nprocs: usize,
+        n: usize,
+        config: ExecutorConfig,
+        cost: CostModel,
+    ) -> (Vec<f64>, crate::process::Counters) {
+        let machine = Machine::new(nprocs, cost);
+        let (results, stats) = machine.run_stats(|proc| {
             let dist = DimDist::block(n, proc.nprocs());
             let rank = proc.rank();
             // Local pieces of A, initialised to the global values i*1.0.
@@ -640,14 +513,12 @@ mod tests {
             let mut new_a = local_a.clone();
             execute_sweep(
                 proc,
-                ExecutorConfig::default().with_overlap(overlap),
+                config,
                 &schedule,
                 &dist,
                 &local_a,
-                |i, fetch| {
-                    let v = fetch.fetch(i + 1);
-                    new_a[dist.local_index(i)] = v;
-                },
+                |i, fetch| fetch.fetch(i + 1),
+                |i, v| new_a[dist.local_index(i)] = v,
             );
             (rank, new_a)
         });
@@ -659,7 +530,7 @@ mod tests {
                 global[dist.global_index(rank, l)] = v;
             }
         }
-        global
+        (global, stats.totals)
     }
 
     #[test]
@@ -667,7 +538,8 @@ mod tests {
         for nprocs in [1, 2, 4, 8] {
             for overlap in [true, false] {
                 let n = 64;
-                let got = run_shift(nprocs, n, overlap);
+                let config = ExecutorConfig::default().with_overlap(overlap);
+                let (got, _) = run_shift(nprocs, n, config, CostModel::ideal());
                 let mut expected: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
                 expected[n - 1] = (n - 1) as f64;
                 assert_eq!(got, expected, "nprocs={nprocs} overlap={overlap}");
@@ -677,40 +549,21 @@ mod tests {
 
     #[test]
     fn executor_sends_one_message_per_neighbour_pair() {
-        let n = 64;
-        let nprocs = 4;
-        let machine = Machine::new(nprocs, CostModel::ideal());
-        let (_, stats) = machine.run_stats(|proc| {
-            let dist = DimDist::block(n, proc.nprocs());
-            let rank = proc.rank();
-            let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
-            let exec = owner_computes_iters(&dist, rank, n - 1);
-            let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1));
-            execute_sweep(
-                proc,
-                ExecutorConfig::default(),
-                &schedule,
-                &dist,
-                &local_a,
-                |_i, fetch| {
-                    let _ = fetch.fetch(_i + 1);
-                },
-            );
-        });
+        let (_, totals) = run_shift(4, 64, ExecutorConfig::default(), CostModel::ideal());
         // Inspector: the crystal router sends log2(4) = 2 messages per proc
         // (4*2 = 8).  Executor: 3 boundary messages in total.
-        assert_eq!(stats.totals.msgs_sent, 8 + 3);
+        assert_eq!(totals.msgs_sent, 8 + 3);
         // Executor moves exactly 3 halo elements of 8 bytes each.
         let executor_bytes: u64 = 3 * 8;
-        assert!(stats.totals.bytes_sent >= executor_bytes);
+        assert!(totals.bytes_sent >= executor_bytes);
     }
 
     #[test]
     fn nonlocal_access_costs_more_than_local_access() {
-        let n = 32;
         let run = |cost: CostModel| {
             let machine = Machine::new(2, cost);
             let (_, stats) = machine.run_stats(|proc| {
+                let n = 32;
                 let dist = DimDist::block(n, proc.nprocs());
                 let rank = proc.rank();
                 let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
@@ -722,9 +575,8 @@ mod tests {
                     &schedule,
                     &dist,
                     &local_a,
-                    |i, fetch| {
-                        let _ = fetch.fetch(i + 1);
-                    },
+                    |i, fetch| fetch.fetch(i + 1),
+                    |_, _| {},
                 );
             });
             stats.time
@@ -735,93 +587,29 @@ mod tests {
         assert!(ncube > 0.0);
     }
 
-    /// Single-rank mock backend that meters the charge hooks, for asserting
-    /// on the executor's cost accounting without a full machine.
-    #[derive(Default)]
-    struct MeteredSolo {
-        counters: crate::process::Counters,
-        nonlocal_charges: u64,
-        local_charges: u64,
-    }
-
-    impl Process for MeteredSolo {
-        fn rank(&self) -> usize {
-            0
-        }
-        fn nprocs(&self) -> usize {
-            2 // pretend a peer exists so upper-half indices are nonlocal
-        }
-        fn send<U: kali_process::Wire>(&mut self, _dst: usize, _tag: u64, _value: U) {
-            panic!("metered solo backend has no peers");
-        }
-        fn send_vec<U: kali_process::Wire>(&mut self, _dst: usize, _tag: u64, _values: Vec<U>) {
-            panic!("metered solo backend has no peers");
-        }
-        fn recv<U: kali_process::Wire>(&mut self, _src: usize, _tag: u64) -> U {
-            panic!("metered solo backend has no peers");
-        }
-        fn barrier(&mut self) {}
-        fn exchange<U: kali_process::Wire>(&mut self, items: Vec<(usize, U)>) -> Vec<U> {
-            items.into_iter().map(|(_, v)| v).collect()
-        }
-        fn allgather<U: Clone + kali_process::Wire>(&mut self, items: Vec<U>) -> Vec<Vec<U>> {
-            vec![items]
-        }
-        fn charge_local_access(&mut self) {
-            self.local_charges += 1;
-        }
-        fn charge_nonlocal_access(&mut self, _ranges: usize) {
-            self.nonlocal_charges += 1;
-            self.counters.nonlocal_refs += 1;
-        }
-        fn counters(&self) -> crate::process::Counters {
-            self.counters
-        }
-    }
-
     #[test]
     fn schedule_mismatch_panic_leaves_cost_counters_untouched() {
-        // Regression: `Fetcher::fetch` used to charge the nonlocal access
+        // Regression: the fetcher used to charge the nonlocal access
         // *before* checking the schedule covered the index, so the panic
         // path left the counters (and on dmsim the simulated clock)
         // inflated by an access that never happened.
         let dist = DimDist::block(8, 2);
         let empty = CommSchedule::from_recv_sets(0, &[], vec![], vec![]);
         let local_data = [0.0f64; 4];
-        let mut proc = MeteredSolo::default();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut fetcher = Fetcher {
-                proc: &mut proc,
-                dist: &dist,
-                rank: 0,
-                ranges: empty.range_count(),
-                local_data: &local_data,
-                recv_buf: &[],
-                schedule: &empty,
-            };
-            // Global index 6 is owned by the (absent) rank 1 and not in the
-            // schedule: the lookup fails and fetch panics.
-            fetcher.fetch(6)
-        }));
+        let mut fetcher = Fetcher::new(&empty, &dist, &local_data, &[]);
+        // Global index 6 is owned by rank 1 and not in the schedule: the
+        // lookup fails and fetch panics.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.fetch(6)));
         assert!(result.is_err(), "unscheduled fetch must panic");
         assert_eq!(
-            proc.nonlocal_charges, 0,
-            "no nonlocal access may be charged on the panic path"
+            fetcher.costs,
+            ChunkCosts::default(),
+            "no access may be charged on the panic path"
         );
-        assert_eq!(proc.counters(), crate::process::Counters::default());
         // Sanity: the same fetcher charges exactly once on a successful path.
-        let mut fetcher = Fetcher {
-            proc: &mut proc,
-            dist: &dist,
-            rank: 0,
-            ranges: empty.range_count(),
-            local_data: &local_data,
-            recv_buf: &[],
-            schedule: &empty,
-        };
         assert_eq!(fetcher.fetch(2), 0.0);
-        assert_eq!(proc.local_charges, 1);
-        assert_eq!(proc.nonlocal_charges, 0);
+        assert_eq!(fetcher.costs.local_accesses, 1);
+        assert_eq!(fetcher.costs.nonlocal_accesses, 0);
     }
 
     #[test]
@@ -836,15 +624,7 @@ mod tests {
         let schedule = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![]);
         let local_data = [0.5f64, 1.5, 2.5, 3.5];
         let recv_buf = [40.0f64, 50.0, 60.0, 70.0];
-        let mut fetcher = ChunkFetcher {
-            dist: &dist,
-            rank: 0,
-            local_data: &local_data,
-            recv_buf: &recv_buf,
-            schedule: &schedule,
-            window: (0, 0, 0),
-            costs: ChunkCosts::default(),
-        };
+        let mut fetcher = Fetcher::new(&schedule, &dist, &local_data, &recv_buf);
         // Interleave local hits, the first nonlocal miss (seeds the
         // window), in-window runs, and repeats after leaving the window.
         let pattern = [4usize, 5, 6, 1, 7, 4, 0, 6];
@@ -888,133 +668,78 @@ mod tests {
         assert_eq!(c.tag, 7);
     }
 
-    /// The shift of Figure 1 on the chunked executor: any worker count and
-    /// chunk size must reproduce the scalar path bit for bit, including the
-    /// metered counters.
+    /// The shift of Figure 1 at every point of the knob grid: values and
+    /// metered counters (simulated under the NCUBE/7 model) are bitwise
+    /// identical to the one-worker run.
     #[test]
-    fn chunked_shift_matches_scalar_at_any_workers_and_chunk() {
-        let n = 64;
-        let nprocs = 4;
-        let run = |workers: usize, chunk: usize, chunked: bool| {
-            let machine = Machine::new(nprocs, CostModel::ncube7());
-            machine.run_stats(|proc| {
-                let dist = DimDist::block(n, proc.nprocs());
-                let rank = proc.rank();
-                let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
-                let exec = owner_computes_iters(&dist, rank, n - 1);
-                let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1));
-                let mut new_a = local_a.clone();
-                if chunked {
-                    execute_sweep_chunked(
-                        proc,
-                        ExecutorConfig::default()
-                            .with_workers(workers)
-                            .with_chunk(chunk),
-                        &schedule,
-                        &dist,
-                        &local_a,
-                        |i, fetch| fetch.fetch(i + 1),
-                        |i, v| new_a[dist.local_index(i)] = v,
-                    );
-                } else {
-                    execute_sweep(
-                        proc,
-                        ExecutorConfig::default(),
-                        &schedule,
-                        &dist,
-                        &local_a,
-                        |i, fetch| {
-                            let v = fetch.fetch(i + 1);
-                            new_a[dist.local_index(i)] = v;
-                        },
-                    );
-                }
-                new_a
-            })
+    fn shift_is_identical_at_any_workers_and_chunk() {
+        let knobs = |(workers, chunk): (usize, usize)| {
+            ExecutorConfig::default()
+                .with_workers(workers)
+                .with_chunk(chunk)
         };
-        let (scalar_vals, scalar_stats) = run(1, 0, false);
-        for workers in [1usize, 2, 4] {
-            for chunk in [0usize, 1, 3, 7, 1024] {
-                let (vals, stats) = run(workers, chunk, true);
-                assert_eq!(vals, scalar_vals, "workers={workers} chunk={chunk}");
-                assert_eq!(
-                    masked(stats.totals),
-                    masked(scalar_stats.totals),
-                    "counters diverged at workers={workers} chunk={chunk}"
-                );
-            }
+        let (ref_vals, ref_totals) = run_shift(4, 64, knobs(KNOB_GRID[0]), CostModel::ncube7());
+        for point in KNOB_GRID {
+            let (vals, totals) = run_shift(4, 64, knobs(point), CostModel::ncube7());
+            assert_eq!(vals, ref_vals, "values at (workers, chunk) = {point:?}");
+            assert_eq!(
+                masked(totals),
+                masked(ref_totals),
+                "counters diverged at (workers, chunk) = {point:?}"
+            );
         }
     }
 
-    /// Body charges through the `ChunkFetcher` merge into the process in
-    /// chunk order, matching an equivalent scalar body charging directly.
+    /// Body charges through the [`Fetcher`] reach the process exactly once
+    /// per iteration at every point of the knob grid, whatever the chunk
+    /// boundaries.
     #[test]
-    fn chunk_costs_merge_to_the_scalar_totals() {
+    fn body_charges_merge_to_the_same_totals_at_any_workers_and_chunk() {
         let n = 40;
-        let run = |chunked: bool| {
-            let machine = Machine::new(2, CostModel::ncube7());
-            let (_, stats) = machine.run_stats(|proc| {
+        // Per-rank counters of the sweep alone (the inspector excluded).
+        let run = |workers: usize, chunk: usize| {
+            Machine::new(2, CostModel::ncube7()).run(|proc| {
                 let dist = DimDist::block(n, proc.nprocs());
                 let rank = proc.rank();
                 let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
                 let exec = owner_computes_iters(&dist, rank, n - 1);
                 let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1));
-                if chunked {
-                    execute_sweep_chunked(
-                        proc,
-                        ExecutorConfig::default().with_workers(3).with_chunk(4),
-                        &schedule,
-                        &dist,
-                        &local_a,
-                        |i, fetch| {
-                            fetch.charge_flops(2);
-                            fetch.charge_mem_refs(3);
-                            fetch.charge_calls(1);
-                            fetch.fetch(i + 1)
-                        },
-                        |_i, _v: f64| {},
-                    );
-                } else {
-                    execute_sweep(
-                        proc,
-                        ExecutorConfig::default(),
-                        &schedule,
-                        &dist,
-                        &local_a,
-                        |i, fetch| {
-                            fetch.proc().charge_flops(2);
-                            fetch.proc().charge_mem_refs(3);
-                            fetch.proc().charge_calls(1);
-                            let _ = fetch.fetch(i + 1);
-                        },
-                    );
-                }
-            });
-            masked(stats.totals)
+                let before = proc.counters();
+                execute_sweep(
+                    proc,
+                    ExecutorConfig::default()
+                        .with_workers(workers)
+                        .with_chunk(chunk),
+                    &schedule,
+                    &dist,
+                    &local_a,
+                    |i, fetch| {
+                        fetch.charge_flops(2);
+                        fetch.charge_mem_refs(3);
+                        fetch.charge_calls(1);
+                        fetch.fetch(i + 1)
+                    },
+                    |_, _| {},
+                );
+                masked(proc.counters().since(&before))
+            })
         };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    #[should_panic(expected = "SPMD worker panicked")]
-    fn chunked_fetch_of_unscheduled_element_panics() {
-        let machine = Machine::new(2, CostModel::ideal());
-        machine.run(|proc| {
-            let dist = DimDist::block(8, 2);
-            let rank = proc.rank();
-            let local_a: Vec<f64> = dist.local_set(rank).iter().map(|_| 0.0).collect();
-            let exec = owner_computes_iters(&dist, rank, 8);
-            let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i));
-            execute_sweep_chunked(
-                proc,
-                ExecutorConfig::default().with_workers(2).with_chunk(2),
-                &schedule,
-                &dist,
-                &local_a,
-                |i, fetch| fetch.fetch((i + 4) % 8),
-                |_i, _v: f64| {},
+        let reference = run(KNOB_GRID[0].0, KNOB_GRID[0].1);
+        let iters = (n - 1) as u64;
+        assert_eq!(reference.iter().map(|c| c.flops).sum::<u64>(), 2 * iters);
+        assert_eq!(reference.iter().map(|c| c.calls).sum::<u64>(), iters);
+        assert_eq!(
+            reference.iter().map(|c| c.nonlocal_refs).sum::<u64>(),
+            1,
+            "one halo element crosses the block boundary"
+        );
+        for (workers, chunk) in KNOB_GRID {
+            assert_eq!(
+                run(workers, chunk),
+                reference,
+                "counters diverged at workers={workers} chunk={chunk}"
             );
-        });
+        }
     }
 
     #[test]
@@ -1028,16 +753,15 @@ mod tests {
             // Schedule built for the identity pattern (no communication)…
             let exec = owner_computes_iters(&dist, rank, 8);
             let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i));
-            // …but the body reaches across the boundary.
+            // …but the body reaches across the boundary, on a worker thread.
             execute_sweep(
                 proc,
-                ExecutorConfig::default(),
+                ExecutorConfig::default().with_workers(2).with_chunk(2),
                 &schedule,
                 &dist,
                 &local_a,
-                |i, fetch| {
-                    let _ = fetch.fetch((i + 4) % 8);
-                },
+                |i, fetch| fetch.fetch((i + 4) % 8),
+                |_, _: f64| {},
             );
         });
     }

@@ -12,8 +12,10 @@
 //! the loop (an [`IterSpace`] plus the on-clause distribution), obtains a
 //! schedule with one unified [`ParallelLoop::plan`] — the compile-time
 //! analyser when the references are affine and closed forms exist, the
-//! (cached) inspector otherwise — and executes sweeps with
-//! [`ParallelLoop::execute`], which owns the sweep-tag and fetcher set-up.
+//! (cached) inspector otherwise — and executes sweeps on the one executor
+//! with [`ParallelLoop::execute`] (or [`ParallelLoop::execute_reduce`] when
+//! the loop's value is a reduction): the body reads through a [`Fetcher`]
+//! and returns a value per iteration, and a sink applies the writes.
 //!
 //! The pipeline is generic over the space: [`Span`] gives the 1-D loops of
 //! the original `Forall` API, [`Rect`](crate::space::Rect) gives rectangular
@@ -41,9 +43,7 @@ use std::sync::Arc;
 use distrib::{combine_fingerprints, DimDist, Distribution};
 
 use crate::cache::{LoopKey, ScheduleCache};
-use crate::executor::{
-    execute_sweep, execute_sweep_chunked, ChunkFetcher, ExecutorConfig, Fetcher,
-};
+use crate::executor::{execute_sweep, ExecutorConfig, Fetcher};
 use crate::inspector::{owner_computes_iters, run_inspector};
 use crate::process::{tree_children, Process, Reduce, ReduceOp};
 use crate::schedule::CommSchedule;
@@ -184,106 +184,6 @@ impl<S: IterSpace> ParallelLoop<S> {
         })
     }
 
-    /// Execute sweep number `sweep` of the loop body under a previously
-    /// planned schedule: sends are posted, local iterations overlap the
-    /// communication, nonlocal iterations run against the receive buffer.
-    /// Sweep tags wrap within the executor's reserved tag window.
-    pub fn execute<P, D, T, F>(
-        &self,
-        proc: &mut P,
-        sweep: usize,
-        schedule: &CommSchedule,
-        data_dist: &D,
-        local_data: &[T],
-        body: F,
-    ) -> usize
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        T: Copy + kali_process::Wire,
-        F: FnMut(usize, &mut Fetcher<'_, T, P, D>),
-    {
-        self.execute_config(
-            proc,
-            ExecutorConfig::sweep(sweep),
-            schedule,
-            data_dist,
-            local_data,
-            body,
-        )
-    }
-
-    /// Execute one sweep in which the loop is also a **reduction**: the body
-    /// returns one contribution per iteration and the loop's value is the
-    /// global reduction of all contributions under the typed operator `R` —
-    /// the paper's convergence tests and dot products as first-class loop
-    /// outputs instead of an out-of-band `allreduce` hack.
-    ///
-    /// The combining order is fixed and backend independent (the
-    /// [`ReduceOp`] determinism contract): contributions fold in ascending
-    /// **iteration** order on each rank — regardless of the executor's
-    /// local-then-nonlocal execution order — and the per-rank partials
-    /// combine with the fixed **binomial-tree bracketing** through the
-    /// generic [`Process::allreduce`] (`2(P−1)` messages).  The result is
-    /// therefore bitwise identical on every rank, across dmsim and native,
-    /// and against a sequential replay folding the same per-rank partial
-    /// structure with `tree_combine_partials`.
-    ///
-    /// The collective runs *inside* the planned pipeline: its messages go
-    /// through the backend like any other communication (so dmsim charges
-    /// them), and the folds charge one flop per combine.
-    #[allow(clippy::too_many_arguments)] // mirrors execute_config + the reduction op
-    pub fn execute_reduce<P, D, T, R, F>(
-        &self,
-        proc: &mut P,
-        config: ExecutorConfig,
-        schedule: &CommSchedule,
-        data_dist: &D,
-        local_data: &[T],
-        _op: Reduce<R>,
-        mut body: F,
-    ) -> R::Acc
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        T: Copy + kali_process::Wire,
-        R: ReduceOp,
-        F: FnMut(usize, &mut Fetcher<'_, T, P, D>) -> R::Input,
-    {
-        // Contributions arrive in executor order: the local iterations,
-        // then the nonlocal ones — two ascending runs.  Merge-fold them in
-        // ascending iteration order so the fold is a function of the loop
-        // alone, not of the schedule's local/nonlocal split.
-        let boundary = schedule.local_iters.len();
-        let mut contributions: Vec<(usize, R::Input)> =
-            Vec::with_capacity(boundary + schedule.nonlocal_iters.len());
-        execute_sweep(proc, config, schedule, data_dist, local_data, |i, fetch| {
-            let v = body(i, fetch);
-            contributions.push((i, v));
-        });
-        fold_and_allreduce::<P, R>(proc, boundary, contributions)
-    }
-
-    /// Like [`ParallelLoop::execute`] with an explicit [`ExecutorConfig`]
-    /// (the overlap ablation knob of the paper's executor shape).
-    pub fn execute_config<P, D, T, F>(
-        &self,
-        proc: &mut P,
-        config: ExecutorConfig,
-        schedule: &CommSchedule,
-        data_dist: &D,
-        local_data: &[T],
-        body: F,
-    ) -> usize
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        T: Copy + kali_process::Wire,
-        F: FnMut(usize, &mut Fetcher<'_, T, P, D>),
-    {
-        execute_sweep(proc, config, schedule, data_dist, local_data, body)
-    }
-
     /// Round the configured chunk length up to the space's preferred
     /// alignment ([`IterSpace::chunk_align`]) — whole rows for [`Rect`]
     /// spaces, a no-op elsewhere.  Alignment shapes chunk boundaries only;
@@ -298,16 +198,22 @@ impl<S: IterSpace> ParallelLoop<S> {
         config
     }
 
-    /// Execute one sweep on the **chunked intra-rank parallel executor**
-    /// ([`execute_sweep_chunked`]): the body is a read-only `Fn` returning
-    /// one value per iteration, writes happen on the calling thread through
-    /// `sink(i, value)` in ascending iteration order per phase, and
-    /// `config.workers` threads may run chunks concurrently.  Chunk lengths
-    /// are aligned to the space ([`IterSpace::chunk_align`]) so `Rect`
-    /// chunks cover whole rows.  Results and metered counters are identical
-    /// at every `(workers, chunk)` setting.
-    #[allow(clippy::too_many_arguments)] // mirrors execute + the sink
-    pub fn execute_chunked<P, D, T, V, F, W>(
+    /// Execute one sweep of the loop body under a previously planned
+    /// schedule on the executor ([`execute_sweep`]): sends are posted, local
+    /// iterations overlap the communication, nonlocal iterations run
+    /// against the receive buffer.
+    ///
+    /// The body is a read-only `Fn` returning one value per iteration;
+    /// writes happen on the calling thread through `sink(i, value)` in
+    /// ascending iteration order per phase, and `config.workers` threads
+    /// may run chunks concurrently.  `config` carries the sweep tag
+    /// ([`ExecutorConfig::sweep`]) and the overlap ablation knob
+    /// ([`ExecutorConfig::with_overlap`]).  Chunk lengths are aligned to
+    /// the space ([`IterSpace::chunk_align`]) so `Rect` chunks cover whole
+    /// rows.  Results and metered counters are identical at every
+    /// `(workers, chunk)` setting.
+    #[allow(clippy::too_many_arguments)] // the executor's inputs + the sink
+    pub fn execute<P, D, T, V, F, W>(
         &self,
         proc: &mut P,
         config: ExecutorConfig,
@@ -322,22 +228,36 @@ impl<S: IterSpace> ParallelLoop<S> {
         D: Distribution + ?Sized + Sync,
         T: Copy + Sync + kali_process::Wire,
         V: Send,
-        F: Fn(usize, &mut ChunkFetcher<'_, T, D>) -> V + Sync,
+        F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
         W: FnMut(usize, V),
     {
         let config = self.align_chunk(config);
-        execute_sweep_chunked(proc, config, schedule, data_dist, local_data, body, sink)
+        execute_sweep(proc, config, schedule, data_dist, local_data, body, sink)
     }
 
-    /// The chunked twin of [`ParallelLoop::execute_reduce`]: the body
-    /// returns `(value, contribution)` per iteration; values reach `sink`
-    /// on the calling thread (ascending iteration order per phase) and the
-    /// contributions fold under `R` in exactly the order the scalar path
-    /// folds them — ascending iteration order per rank, then ascending rank
-    /// order — so the reduction's bits never depend on the worker count or
-    /// chunk size.
-    #[allow(clippy::too_many_arguments)] // mirrors execute_reduce + the sink
-    pub fn execute_reduce_chunked<P, D, T, V, R, F, W>(
+    /// Execute one sweep in which the loop is also a **reduction**: the body
+    /// returns `(value, contribution)` per iteration, values reach `sink`
+    /// exactly as in [`ParallelLoop::execute`], and the loop's result is the
+    /// global reduction of all contributions under the typed operator `R` —
+    /// the paper's convergence tests and dot products as first-class loop
+    /// outputs instead of an out-of-band `allreduce` hack.
+    ///
+    /// The combining order is fixed and backend independent (the
+    /// [`ReduceOp`] determinism contract): contributions fold in ascending
+    /// **iteration** order on each rank — regardless of the executor's
+    /// local-then-nonlocal execution order, the worker count or the chunk
+    /// size — and the per-rank partials combine with the fixed
+    /// **binomial-tree bracketing** through the generic
+    /// [`Process::allreduce`] (`2(P−1)` messages).  The result is therefore
+    /// bitwise identical on every rank, across dmsim and native, and against
+    /// a sequential replay folding the same per-rank partial structure with
+    /// `tree_combine_partials`.
+    ///
+    /// The collective runs *inside* the planned pipeline: its messages go
+    /// through the backend like any other communication (so dmsim charges
+    /// them), and the folds charge one flop per combine.
+    #[allow(clippy::too_many_arguments)] // mirrors execute + the reduction op
+    pub fn execute_reduce<P, D, T, V, R, F, W>(
         &self,
         proc: &mut P,
         config: ExecutorConfig,
@@ -355,14 +275,15 @@ impl<S: IterSpace> ParallelLoop<S> {
         V: Send,
         R: ReduceOp,
         R::Input: Send,
-        F: Fn(usize, &mut ChunkFetcher<'_, T, D>) -> (V, R::Input) + Sync,
+        F: Fn(usize, &mut Fetcher<'_, T, D>) -> (V, R::Input) + Sync,
         W: FnMut(usize, V),
     {
-        let config = self.align_chunk(config);
+        // Contributions arrive in executor order: the local iterations,
+        // then the nonlocal ones — two ascending runs, merge-folded below.
         let boundary = schedule.local_iters.len();
         let mut contributions: Vec<(usize, R::Input)> =
             Vec::with_capacity(boundary + schedule.nonlocal_iters.len());
-        execute_sweep_chunked(
+        self.execute(
             proc,
             config,
             schedule,
@@ -383,8 +304,8 @@ impl<S: IterSpace> ParallelLoop<S> {
 /// runs (local iterations first, nonlocal after, split at `boundary`), are
 /// merge-folded in ascending **iteration** order, and the per-rank partials
 /// combine with the **binomial-tree bracketing** through
-/// [`Process::allreduce`].  Shared by the scalar and chunked reduce paths
-/// so both produce identical bits by construction.
+/// [`Process::allreduce`].  The fold is therefore a function of the loop
+/// alone, never of the schedule's local/nonlocal split.
 ///
 /// **Bracketing contract.**  The cross-rank combine below must bracket
 /// exactly like `tree_combine_partials::<R>` — `Process::allreduce`'s
@@ -651,9 +572,15 @@ mod tests {
             let mut cache = ScheduleCache::new();
             let schedule = loop_.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
             let mut out = local_a.clone();
-            loop_.execute(proc, 0, &schedule, &dist, &local_a, |i, fetch| {
-                out[dist.local_index(i)] = fetch.fetch(i + 1);
-            });
+            loop_.execute(
+                proc,
+                ExecutorConfig::default(),
+                &schedule,
+                &dist,
+                &local_a,
+                |i, fetch| fetch.fetch(i + 1),
+                |i, v| out[dist.local_index(i)] = v,
+            );
             (rank, out)
         });
         let dist = DimDist::block(n, 4);
@@ -756,9 +683,15 @@ mod tests {
             let planned_msgs = proc.counters().msgs_sent;
             assert_eq!(planned_msgs, 0, "planning must cost zero messages");
             let mut out = local_a.clone();
-            loop_.execute(proc, 0, &schedule, &flat, &local_a, |g, fetch| {
-                out[flat.local_index(g)] = fetch.fetch(g + c);
-            });
+            loop_.execute(
+                proc,
+                ExecutorConfig::default(),
+                &schedule,
+                &flat,
+                &local_a,
+                |g, fetch| fetch.fetch(g + c),
+                |g, v| out[flat.local_index(g)] = v,
+            );
             (rank, out)
         });
         // Executor traffic: 3 boundary rows of c elements.

@@ -32,7 +32,9 @@
 //!   exchange (§3.3, Figure 6).
 //! * [`executor`] — the executor: send boundary data, run local iterations
 //!   (overlapping communication), receive, run nonlocal iterations, with
-//!   received elements found by binary search over the range records.
+//!   received elements found by binary search over the range records.  One
+//!   executor serves every loop; its iteration chunks run inline or on an
+//!   intra-rank worker pool without changing a result.
 //! * [`cache`] — schedule caching between repeated executions of the same
 //!   `forall`, the amortisation that makes the inspector affordable (§3.2).
 //!   The cache is bounded (LRU) and self-invalidating: version bumps evict
@@ -95,9 +97,7 @@ pub use analysis::multi::MultiAffineMap;
 pub use analysis::stripe::{analyze_stripe, StripeSpec};
 pub use array::DistArray;
 pub use cache::{CacheStats, LoopKey, ScheduleCache};
-pub use executor::{
-    execute_sweep, execute_sweep_chunked, ChunkCosts, ChunkFetcher, ExecutorConfig, Fetcher,
-};
+pub use executor::{execute_sweep, ExecutorConfig, Fetcher};
 pub use forall::{forall_local, ParallelLoop};
 pub use inspector::{owner_computes_range, run_inspector};
 pub use mc::check_trace;

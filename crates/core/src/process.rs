@@ -21,7 +21,7 @@
 //! layer; this module re-exports it as the crate's official path.
 
 pub use kali_process::{
-    combine_partials, tags, trace, tree_allreduce_messages, tree_allreduce_sends, tree_children,
+    tags, trace, tree_allreduce_messages, tree_allreduce_sends, tree_children,
     tree_combine_partials, tree_merge_order, Counters, Event, EventKind, Max, Min, Norm2, Process,
     Reduce, ReduceOp, Sum, Tag, TraceRecorder,
 };

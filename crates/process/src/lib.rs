@@ -41,10 +41,7 @@ pub mod tags;
 pub mod trace;
 pub mod wire;
 
-pub use reduce::{
-    combine_partials, tree_combine_partials, tree_merge_order, Max, Min, Norm2, Reduce, ReduceOp,
-    Sum,
-};
+pub use reduce::{tree_combine_partials, tree_merge_order, Max, Min, Norm2, Reduce, ReduceOp, Sum};
 pub use trace::{Event, EventKind, TraceRecorder};
 pub use wire::{Wire, WireError, WireReader};
 

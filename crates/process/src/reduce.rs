@@ -35,10 +35,7 @@
 //! A sequential replay that folds the same per-rank partial structure with
 //! the same helpers reproduces the distributed result **bit for bit**; the
 //! solvers' replays (`cg_sequential`, `redblack_sequential`) and the
-//! reduction-determinism tests rely on this.  [`combine_partials`] (the
-//! flat ascending-rank fold the collective used before the tree) is kept
-//! for callers that want a plain left-to-right fold; it is **not** the
-//! collective's bracketing.
+//! reduction-determinism tests rely on this.
 
 /// One typed reduction semantics (see the module docs for the determinism
 /// contract).
@@ -82,22 +79,6 @@ pub trait ReduceOp {
             .into_iter()
             .fold(Self::identity(), |acc, v| Self::combine(acc, Self::lift(v)))
     }
-}
-
-/// Combine per-rank partials with a flat left-to-right fold in ascending
-/// rank order.
-///
-/// This was the collective's bracketing before the tree allreduce; it is
-/// kept as the plain sequential fold.  The cross-rank half of the
-/// determinism contract is [`tree_combine_partials`] — use that to replay
-/// what [`Process::allreduce`][ar] computes.
-///
-/// [ar]: crate::Process::allreduce
-pub fn combine_partials<R: ReduceOp>(partials: impl IntoIterator<Item = R::Acc>) -> R::Acc {
-    partials
-        .into_iter()
-        .reduce(R::combine)
-        .expect("a reduction needs at least one rank's partial")
 }
 
 /// Combine per-rank partials with the fixed binomial-tree bracketing — the
@@ -321,13 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn combine_partials_is_a_rank_ordered_fold() {
-        let partials = [0.1f64, 0.2, 0.3, 0.4];
-        let combined = combine_partials::<Sum<f64>>(partials);
-        assert_eq!(combined.to_bits(), (((0.1f64 + 0.2) + 0.3) + 0.4).to_bits());
-    }
-
-    #[test]
     fn tree_combine_partials_uses_the_binomial_bracketing() {
         // Rounding-sensitive partials: the tree bracketing provably rounds
         // differently from the flat fold at 4+ ranks, so equality with the
@@ -344,7 +318,7 @@ mod tests {
         // the flat fold round differently.
         let sensitive = [1.0e16, 1.0, 1.0, 1.0];
         let tree4 = tree_combine_partials::<Sum<f64>>(sensitive);
-        let flat4 = combine_partials::<Sum<f64>>(sensitive);
+        let flat4 = ((sensitive[0] + sensitive[1]) + sensitive[2]) + sensitive[3];
         assert_eq!(tree4, 1.0e16 + 2.0);
         assert_ne!(tree4.to_bits(), flat4.to_bits());
 
@@ -359,7 +333,7 @@ mod tests {
             let partials: Vec<u64> = (0..p as u64).map(|r| r * r + 1).collect();
             assert_eq!(
                 tree_combine_partials::<Sum<u64>>(partials.clone()),
-                combine_partials::<Sum<u64>>(partials),
+                partials.iter().sum::<u64>(),
                 "p = {p}"
             );
         }

@@ -232,26 +232,38 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
         };
 
         // -- perform the relaxation ----------------------------------------
-        let a_mut = &mut a;
-        session.execute(proc, &relaxation, &schedule, &dist, &old_a, |i, fetch| {
-            let l = dist.local_index(i);
-            fetch.proc().charge_mem_refs(1); // count[i]
-            let deg = count[l] as usize;
-            let mut x = 0.0f64;
-            for j in 0..deg {
-                fetch.proc().charge_loop_iters(1);
-                fetch.proc().charge_mem_refs(2); // adj[i,j], coef[i,j]
-                let nb = adj[l * width + j] as usize;
-                let c = coef[l * width + j];
-                let v = fetch.fetch(nb);
-                fetch.proc().charge_flops(2);
-                x += c * v;
-            }
-            if deg > 0 {
-                fetch.proc().charge_mem_refs(1); // a[i] := x
-                a_mut[l] = x;
-            }
-        });
+        // The body returns each node's local offset with its new value; the
+        // sink applies the write on the calling thread.
+        session.execute(
+            proc,
+            &relaxation,
+            &schedule,
+            &dist,
+            &old_a,
+            |i, fetch| {
+                let l = dist.local_index(i);
+                let deg = count[l] as usize;
+                let mut x = 0.0f64;
+                for j in 0..deg {
+                    let nb = adj[l * width + j] as usize;
+                    let c = coef[l * width + j];
+                    x += c * fetch.fetch(nb);
+                }
+                // Charged once per node: the chunk sums its counts before
+                // flushing, so bulk and per-neighbour charging are the same.
+                // Per neighbour: one loop iteration, adj[i,j] and coef[i,j],
+                // multiply + accumulate; plus count[i] and the a[i] := x store.
+                fetch.charge_loop_iters(deg);
+                fetch.charge_mem_refs(1 + 2 * deg + usize::from(deg > 0));
+                fetch.charge_flops(2 * deg);
+                (deg > 0).then_some((l, x))
+            },
+            |_, write| {
+                if let Some((l, x)) = write {
+                    a[l] = x;
+                }
+            },
+        );
     }
 
     let total_time = proc.time() - start_clock;

@@ -46,11 +46,11 @@ pub struct JacobiConfig {
     /// Re-run the inspector on every sweep instead of caching the schedule —
     /// the ablation quantifying §3.2's amortisation argument.
     pub disable_schedule_cache: bool,
-    /// Intra-rank worker threads for the chunked executor (`None` keeps the
+    /// Intra-rank worker threads for the executor (`None` keeps the
     /// session default, which honours `KALI_WORKERS`).  Results are bitwise
     /// identical at every worker count.
     pub workers: Option<usize>,
-    /// Chunk size for the chunked executor (`None` keeps the session
+    /// Chunk size for the executor (`None` keeps the session
     /// default, which honours `KALI_CHUNK`).
     pub chunk: Option<usize>,
 }
@@ -222,7 +222,7 @@ pub fn jacobi_sweeps<P: Process>(
         debug_assert_eq!(exec_iters.len(), local_rows);
         {
             let a_mut = &mut a;
-            session.execute_chunked(
+            session.execute(
                 proc,
                 &relaxation,
                 &schedule,
@@ -262,7 +262,7 @@ pub fn jacobi_sweeps<P: Process>(
             if every > 0 && (sweep + 1) % every == 0 {
                 let a_ref = &a;
                 let old_ref = &old_a;
-                let global_change = session.execute_reduce_chunked(
+                let global_change = session.execute_reduce(
                     proc,
                     &convergence,
                     &convergence_schedule,
@@ -553,5 +553,39 @@ mod tests {
             assert!(o.executor_time > o.inspector_time);
             assert!((o.total_time - o.executor_time - o.inspector_time).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn zero_sweeps_returns_initial_field() {
+        let grid = RegularGrid::square(6);
+        let mesh = grid.five_point_mesh();
+        let initial = grid.initial_field();
+        assert_eq!(jacobi_sequential(&mesh, &initial, 0), initial);
+    }
+
+    #[test]
+    fn relaxation_smooths_towards_boundary_values() {
+        // With zero boundary and averaging coefficients, the interior decays
+        // towards zero.
+        let grid = RegularGrid::square(10);
+        let mesh = grid.five_point_mesh();
+        let initial = grid.initial_field();
+        let after = jacobi_sequential(&mesh, &initial, 200);
+        let norm_before: f64 = initial.iter().map(|v| v * v).sum();
+        let norm_after: f64 = after.iter().map(|v| v * v).sum();
+        assert!(
+            norm_after < norm_before * 0.5,
+            "{norm_after} vs {norm_before}"
+        );
+    }
+
+    #[test]
+    fn isolated_nodes_keep_their_values() {
+        let mesh =
+            AdjacencyMesh::from_lists(&[vec![], vec![2], vec![1]], &[vec![], vec![1.0], vec![1.0]]);
+        let out = jacobi_sequential(&mesh, &[5.0, 1.0, 3.0], 1);
+        assert_eq!(out[0], 5.0);
+        assert_eq!(out[1], 3.0);
+        assert_eq!(out[2], 1.0);
     }
 }

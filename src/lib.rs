@@ -25,7 +25,7 @@
 //! * [`meshes`] — regular and unstructured mesh workloads.
 //! * [`solvers`] — Jacobi relaxation and friends written against the Kali
 //!   API, plus the experiment driver that regenerates the paper's tables.
-//! * [`baseline`] — hand-coded message-passing and sequential comparators.
+//! * [`baseline`] — the hand-coded message-passing comparator.
 //!
 //! The same solver runs on either backend because it only ever talks to
 //! `Process`; the `backend_equivalence` integration test pins the two

@@ -16,7 +16,6 @@
 //! dmsim/native runs, so a spawned worker reaches its call site with the
 //! least re-executed work.
 
-use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::inspector::owner_computes_iters;
@@ -26,8 +25,8 @@ use kali_repro::mp::MpMachine;
 use kali_repro::native::NativeMachine;
 use kali_repro::process::Process;
 use kali_repro::solvers::{
-    adaptive_jacobi_sequential, adaptive_jacobi_sweeps, final_placement, jacobi_sweeps,
-    partitioned_dist, AdaptiveConfig, JacobiConfig,
+    adaptive_jacobi_sequential, adaptive_jacobi_sweeps, final_placement, jacobi_sequential,
+    jacobi_sweeps, partitioned_dist, AdaptiveConfig, JacobiConfig,
 };
 
 /// Gather a distributed solution back into global numbering (the shared
@@ -92,7 +91,7 @@ fn assert_backends_agree(
         );
     }
 
-    let sequential = sequential_jacobi(mesh, initial, sweeps);
+    let sequential = jacobi_sequential(mesh, initial, sweeps);
     assert_eq!(native, sequential, "native backend vs sequential reference");
 }
 
@@ -214,7 +213,7 @@ fn jacobi_is_bit_identical_across_backends_under_partitioned_irregular_dist() {
             "mp diverges under the partitioned irregular distribution"
         );
     }
-    let sequential = sequential_jacobi(&mesh, &initial, sweeps);
+    let sequential = jacobi_sequential(&mesh, &initial, sweeps);
     assert_eq!(
         native, sequential,
         "partitioned-irregular Jacobi vs sequential reference"
@@ -342,9 +341,8 @@ fn shift_on<P: Process>(proc: &mut P, n: usize) -> Vec<f64> {
         &schedule,
         &dist,
         &local_a,
-        |i, fetch| {
-            out[dist.local_index(i)] = fetch.fetch(i + 1);
-        },
+        |i, fetch| fetch.fetch(i + 1),
+        |i, v| out[dist.local_index(i)] = v,
     );
     out
 }

@@ -6,19 +6,25 @@
 //! counters and reduction contributions in ascending iteration order — so
 //! the knobs can change wall-clock time but never a single bit of a result,
 //! a residual history, or a metered counter.  These tests pin that contract
-//! for all three solvers (Jacobi, CG, red–black Gauss–Seidel) across a
-//! grid of `(workers, chunk)` settings, against the scalar single-worker
-//! run, against the sequential replays, and on the native backend.
+//! for every solver (Jacobi, CG, red–black Gauss–Seidel, adaptive-mesh
+//! Jacobi, the 2-D phase-change demo) across a grid of `(workers, chunk)`
+//! settings, against the single-worker run, against the sequential
+//! replays, and on the native backend.
+
+use std::sync::Mutex;
 
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::meshes::{AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
+use kali_repro::kali::Session;
+use kali_repro::meshes::{greedy_partition, AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
 use kali_repro::native::NativeMachine;
 use kali_repro::process::{Counters, Process};
 use kali_repro::solvers::{
-    cg_sequential, cg_solve, gather_global, jacobi_sequential, jacobi_sweeps, redblack_sequential,
-    redblack_sweeps, CgConfig, CgOutcome, JacobiConfig, JacobiOutcome, RedBlackConfig,
-    RedBlackOutcome,
+    adaptive_jacobi_sequential, adaptive_jacobi_sweeps, cg_sequential, cg_solve, final_placement,
+    gather_global, gather_multidim, jacobi_sequential, jacobi_sweeps, multidim_field,
+    multidim_sequential, multidim_sweeps, partitioned_dist, redblack_sequential, redblack_sweeps,
+    row_placement, AdaptiveConfig, CgConfig, CgOutcome, JacobiConfig, JacobiOutcome,
+    MultiDimConfig, PhaseStrategy, RedBlackConfig, RedBlackOutcome,
 };
 
 const NPROCS: usize = 4;
@@ -35,10 +41,44 @@ fn masked(c: Counters) -> Counters {
     Counters { queue_peak: 0, ..c }
 }
 
-/// The knob grid shared by the fixed tests: the scalar baseline is
+/// The knob grid shared by the fixed tests: the baseline is
 /// `(workers 1, chunk auto)`; every other point must match it bitwise.
 fn knob_grid() -> Vec<(usize, usize)> {
     vec![(1, 0), (1, 1), (2, 0), (2, 3), (3, 7), (4, 0), (4, 64)]
+}
+
+/// Serialises the tests that set the session-default knobs.
+static SESSION_KNOBS: Mutex<()> = Mutex::new(());
+
+/// Run `f` with the session defaults set to `(workers, chunk)`.
+///
+/// The adaptive and multidim solvers have no knob fields of their own: their
+/// sessions take the worker count and chunk length from `KALI_WORKERS` and
+/// `KALI_CHUNK`.  The variables are process-wide, so the tests that set them
+/// hold [`SESSION_KNOBS`] for the whole run; every other test in this binary
+/// passes its knobs explicitly, which overrides the defaults.
+fn with_session_knobs<R>(workers: usize, chunk: usize, f: impl FnOnce() -> R) -> R {
+    let _guard = SESSION_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let saved = [
+        ("KALI_WORKERS", std::env::var_os("KALI_WORKERS")),
+        ("KALI_CHUNK", std::env::var_os("KALI_CHUNK")),
+    ];
+    std::env::set_var("KALI_WORKERS", workers.to_string());
+    std::env::set_var("KALI_CHUNK", chunk.to_string());
+    let session = Session::new();
+    assert_eq!(
+        (session.workers(), session.chunk_size()),
+        (workers.max(1), chunk),
+        "sessions must pick up the knobs"
+    );
+    let out = f();
+    for (name, value) in saved {
+        match value {
+            Some(v) => std::env::set_var(name, v),
+            None => std::env::remove_var(name),
+        }
+    }
+    out
 }
 
 fn run_jacobi(
@@ -79,7 +119,7 @@ fn jacobi_is_bitwise_identical_at_every_worker_count_and_chunk_size() {
     assert_eq!(
         bits(&base_field),
         bits(&expected),
-        "scalar baseline vs sequential"
+        "single-worker baseline vs sequential"
     );
 
     for (workers, chunk) in knob_grid() {
@@ -218,6 +258,101 @@ fn redblack_field_and_change_history_are_knob_independent() {
                 masked(b.counters),
                 "rank {rank} merged counters at (workers {workers}, chunk {chunk})"
             );
+        }
+    }
+}
+
+#[test]
+fn adaptive_rebalancing_run_is_knob_independent_and_replays_bitwise() {
+    let mesh = UnstructuredMeshBuilder::new(10, 10)
+        .seed(13)
+        .scramble_numbering(true)
+        .build();
+    let initial: Vec<f64> = (0..mesh.len())
+        .map(|i| ((i * 23) % 31) as f64 * 0.125)
+        .collect();
+    let config = AdaptiveConfig {
+        sweeps: 7,
+        adapt_every: Some(2),
+        rebalance: true,
+        ..AdaptiveConfig::default()
+    };
+    let expected = adaptive_jacobi_sequential(&mesh, &initial, &config);
+    let initial_dist = DimDist::custom(greedy_partition(&mesh, NPROCS), NPROCS);
+    let final_dist = final_placement(&mesh, &initial_dist, &config);
+    let run = |workers: usize, chunk: usize| {
+        with_session_knobs(workers, chunk, || {
+            Machine::new(NPROCS, CostModel::ncube7()).run(|proc| {
+                let dist = partitioned_dist(proc, &mesh);
+                adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+            })
+        })
+    };
+
+    let baseline = run(1, 0);
+    for (workers, chunk) in knob_grid() {
+        let outcomes = run(workers, chunk);
+        let field = gather_global(
+            &final_dist,
+            &outcomes
+                .iter()
+                .map(|o| o.local_a.clone())
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(
+            bits(&field),
+            bits(&expected),
+            "field vs sequential at (workers {workers}, chunk {chunk})"
+        );
+        for (rank, (o, b)) in outcomes.iter().zip(&baseline).enumerate() {
+            assert_eq!(o.adaptations, 3);
+            assert_eq!(
+                masked(o.counters),
+                masked(b.counters),
+                "rank {rank} merged counters at (workers {workers}, chunk {chunk})"
+            );
+        }
+    }
+}
+
+#[test]
+fn multidim_phases_are_knob_independent_and_replay_bitwise() {
+    let mut config = MultiDimConfig::new(12, 10);
+    config.sweeps_per_phase = 3;
+    let initial = multidim_field(config.rows, config.cols);
+    let expected = multidim_sequential(&config, &initial);
+    for strategy in [PhaseStrategy::RowsThroughout, PhaseStrategy::PhaseChange] {
+        config.strategy = strategy;
+        let run = |workers: usize, chunk: usize| {
+            with_session_knobs(workers, chunk, || {
+                Machine::new(NPROCS, CostModel::ncube7())
+                    .run(|proc| multidim_sweeps(proc, &config, &initial))
+            })
+        };
+        let baseline = run(1, 0);
+        for (workers, chunk) in knob_grid() {
+            let outcomes = run(workers, chunk);
+            let field = gather_multidim(
+                &row_placement(&config, NPROCS),
+                &outcomes
+                    .iter()
+                    .map(|o| o.local_a.clone())
+                    .collect::<Vec<_>>(),
+            );
+            assert_eq!(
+                bits(&field),
+                bits(&expected),
+                "{} field vs sequential at (workers {workers}, chunk {chunk})",
+                strategy.name()
+            );
+            for (rank, (o, b)) in outcomes.iter().zip(&baseline).enumerate() {
+                assert_eq!(
+                    masked(o.counters),
+                    masked(b.counters),
+                    "{} rank {rank} merged counters at (workers {workers}, chunk {chunk})",
+                    strategy.name()
+                );
+            }
         }
     }
 }

@@ -2,11 +2,11 @@
 //! implementations (sequential, hand-coded message passing, Kali) and
 //! distribution independence of the Kali program.
 
-use kali_repro::baseline::{handcoded_jacobi, sequential_jacobi};
+use kali_repro::baseline::handcoded_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::meshes::{AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
-use kali_repro::solvers::{jacobi_sweeps, JacobiConfig};
+use kali_repro::solvers::{jacobi_sequential, jacobi_sweeps, JacobiConfig};
 
 /// Gather a distributed solution back into global numbering.
 fn gather(dist: &DimDist, locals: &[Vec<f64>]) -> Vec<f64> {
@@ -47,7 +47,7 @@ fn kali_handcoded_and_sequential_agree_bitwise_on_the_paper_workload() {
     let mesh = grid.five_point_mesh();
     let initial = grid.initial_field();
     let sweeps = 12;
-    let expected = sequential_jacobi(&mesh, &initial, sweeps);
+    let expected = jacobi_sequential(&mesh, &initial, sweeps);
 
     for nprocs in [2usize, 4, 8] {
         let kali = kali_solution(&mesh, &initial, sweeps, nprocs, |p| {
@@ -73,7 +73,7 @@ fn kali_is_distribution_independent_on_an_unstructured_mesh() {
     let n = mesh.len();
     let initial: Vec<f64> = (0..n).map(|i| ((i * 13) % 29) as f64).collect();
     let sweeps = 6;
-    let expected = sequential_jacobi(&mesh, &initial, sweeps);
+    let expected = jacobi_sequential(&mesh, &initial, sweeps);
     let nprocs = 4;
 
     let block = kali_solution(&mesh, &initial, sweeps, nprocs, |p| DimDist::block(n, p));
@@ -149,6 +149,6 @@ fn single_processor_runs_need_no_communication() {
             &DimDist::block(mesh.len(), 1),
             &[outcomes[0].local_a.clone()]
         ),
-        sequential_jacobi(&mesh, &initial, 5)
+        jacobi_sequential(&mesh, &initial, 5)
     );
 }

@@ -41,7 +41,7 @@ fn recorded_stencil() -> Vec<Vec<Event>> {
             .collect();
         let mut out = local.clone();
         session.start_trace(proc);
-        session.execute_chunked(
+        session.execute(
             proc,
             &loop_,
             &schedule,

@@ -6,12 +6,11 @@
 //! SPMD program, and ships its `Wire`-encoded result back over the control
 //! socket.  Nothing is shared between ranks but bytes on sockets.
 
-use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::meshes::RegularGrid;
 use kali_repro::mp::MpMachine;
 use kali_repro::process::Process;
-use kali_repro::solvers::{gather_global, jacobi_sweeps, JacobiConfig};
+use kali_repro::solvers::{gather_global, jacobi_sequential, jacobi_sweeps, JacobiConfig};
 
 #[test]
 fn ring_and_collectives_work_across_real_processes() {
@@ -74,7 +73,7 @@ fn jacobi_on_real_processes_matches_the_sequential_reference() {
     let results = results.expect("coordinator gets results");
     let dist = DimDist::block(mesh.len(), nprocs);
     let field = gather_global(&dist, &results);
-    let expected = sequential_jacobi(&mesh, &initial, sweeps);
+    let expected = jacobi_sequential(&mesh, &initial, sweeps);
     assert_eq!(
         field.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -2,12 +2,11 @@
 //! solution array between distributions mid-computation and keep getting the
 //! sequential answer.
 
-use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::redistribute;
 use kali_repro::meshes::RegularGrid;
-use kali_repro::solvers::{jacobi_sweeps, JacobiConfig};
+use kali_repro::solvers::{jacobi_sequential, jacobi_sweeps, JacobiConfig};
 
 #[test]
 fn jacobi_survives_a_mid_run_redistribution() {
@@ -15,7 +14,7 @@ fn jacobi_survives_a_mid_run_redistribution() {
     let mesh = grid.five_point_mesh();
     let initial = grid.initial_field();
     let nprocs = 4;
-    let expected = sequential_jacobi(&mesh, &initial, 8);
+    let expected = jacobi_sequential(&mesh, &initial, 8);
 
     let machine = Machine::new(nprocs, CostModel::ideal());
     let results = machine.run(|proc| {

@@ -39,7 +39,8 @@ fn reduce_on<P: Process, R: ReduceOp<Input = f64, Acc = f64>>(
         dist,
         &local,
         Reduce::<R>::new(),
-        |i, fetch| fetch.fetch(i),
+        |i, fetch| ((), fetch.fetch(i)),
+        |_, ()| {},
     )
 }
 
