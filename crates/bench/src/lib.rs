@@ -1541,7 +1541,7 @@ fn plan_solver_suite<P: kali_core::Process>(
         dist,
         &local,
         Reduce::<Norm2>::new(),
-        |i, fetch| ((), fetch.fetch(i)),
+        |_, fetch| ((), fetch.get(0)),
         |_, ()| {},
     );
 
@@ -1570,8 +1570,8 @@ fn plan_solver_suite<P: kali_core::Process>(
         dist,
         &local,
         Reduce::<Sum<f64>>::new(),
-        |i, fetch| {
-            let v = fetch.fetch(i);
+        |_, fetch| {
+            let v = fetch.get(0);
             ((), v * v)
         },
         |_, ()| {},

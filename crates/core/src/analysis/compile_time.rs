@@ -151,6 +151,15 @@ pub(crate) fn closed_form(
         }
     }
     schedule.set_send_records(send_records);
+    // Localize: evaluate every reference map per executed iteration, with
+    // out-of-bounds references absent (as above).
+    schedule.localize(data_dist, |i, out| {
+        out.extend(
+            ref_maps
+                .iter()
+                .filter_map(|g| g.apply(i).filter(|&v| v < data_n)),
+        )
+    });
     Some(schedule)
 }
 

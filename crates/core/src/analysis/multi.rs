@@ -24,7 +24,7 @@
 //! dependent) the caller falls back to the run-time inspector over the
 //! flattened space, exactly as in the 1-D case.
 
-use distrib::{product_flat, Distribution, FlatDist, IndexSet};
+use distrib::{product_flat, unflatten_index, Distribution, FlatDist, IndexSet};
 
 use crate::analysis::affine::AffineMap;
 use crate::schedule::{CommSchedule, RangeRecord};
@@ -230,6 +230,16 @@ pub fn analyze_multi(
         }
     }
     schedule.set_send_records(send_records);
+    // Localize: evaluate every reference map per executed iteration over
+    // the row-major linearisation, with out-of-bounds references absent.
+    schedule.localize(data, |i, out| {
+        let idx = unflatten_index(shape, i);
+        out.extend(
+            ref_maps
+                .iter()
+                .filter_map(|g| g.apply(&idx, dshape).map(|v| data.flatten(&v))),
+        )
+    });
     Some(schedule)
 }
 

@@ -468,6 +468,29 @@ mod tests {
     }
 
     #[test]
+    fn resident_bytes_count_the_localized_reference_table() {
+        // Rank 0 of block(64, 2) runs 0..32 reading A[i] and A[i+1]; only
+        // iteration 31 reads a received element (32).
+        use distrib::{DimDist, IndexSet};
+        let dist = DimDist::block(64, 2);
+        let recv_sets = [IndexSet::new(), IndexSet::from_range(32, 33)];
+        let mut schedule = CommSchedule::from_recv_sets(0, &recv_sets, (0..31).collect(), vec![31]);
+        schedule.localize(&dist, |i, out| out.extend([i, i + 1]));
+        assert_eq!(
+            (schedule.ref_rows.len(), schedule.ref_slots.len()),
+            (33, 64)
+        );
+        let mut bare = schedule.clone();
+        bare.ref_rows.clear();
+        bare.ref_slots.clear();
+        let table_bytes = (33 + 64) * std::mem::size_of::<u32>();
+        assert_eq!(schedule.approx_bytes(), bare.approx_bytes() + table_bytes);
+        let mut cache = ScheduleCache::new();
+        cache.get_or_build(LoopKey::new(1, 0, 7), || schedule.clone());
+        assert_eq!(cache.stats().resident_bytes, schedule.approx_bytes());
+    }
+
+    #[test]
     fn invalidate_and_clear() {
         let mut cache = ScheduleCache::new();
         cache.get_or_build(LoopKey::new(1, 0, 7), || dummy_schedule(0));

@@ -14,18 +14,30 @@
 //! ```
 //!
 //! Doing the local iterations *between* the sends and the receives overlaps
-//! communication with computation; the received elements live in a
-//! communication buffer addressed through the binary-searchable range
-//! records of the [`CommSchedule`].
+//! communication with computation; the received elements live in one
+//! contiguous communication buffer.
+//!
+//! References are **localized at plan time**: the schedule's reference
+//! table already holds, for every reference of every executed iteration,
+//! its slot in the ghost-extended array `[owned | receive buffer]`.  The
+//! paper's executor tests locality and binary-searches the range records on
+//! every nonlocal reference; this one reads `slot < owned ? local[slot] :
+//! recv[slot − owned]`, and nothing else.  The paper's costs are still
+//! charged on dmsim — each read counts one local or one nonlocal access,
+//! and the §4 binary-search cost `O(log r)` is charged per nonlocal access
+//! through [`Process::charge_nonlocal_accesses`] — so simulated clocks and
+//! the paper's tables are those of the searching executor.
 //!
 //! [`execute_sweep`] is the one executor every `forall` runs on.  Its loop
-//! body is a read-only view of the sweep: it reads through a [`Fetcher`] and
-//! returns one value per iteration, and the caller's `sink` applies the
-//! writes on the rank's own thread.  Each iteration list runs in
-//! fixed-boundary chunks, inline at one worker or spread over an intra-rank
-//! worker pool ([`crate::pool`]); values, writes and metered costs merge in
-//! ascending iteration order, so the worker count and chunk size never
-//! change a result.
+//! body is a read-only view of the sweep: it reads its planned references
+//! through a [`Fetcher`] and returns one value per iteration, and the
+//! caller's `sink` applies the writes on the rank's own thread.  Each
+//! iteration list runs in fixed-boundary chunks, inline at one worker or
+//! spread over an intra-rank worker pool ([`crate::pool`]); each chunk's
+//! costs and values reach the process and the sink as soon as it and every
+//! chunk before it have finished, in ascending iteration order, so the
+//! worker count and chunk size never change a result and only out-of-order
+//! chunks are ever buffered.
 
 use distrib::Distribution;
 
@@ -196,11 +208,10 @@ where
 ///
 /// Loop bodies may run off the rank's own thread, where no `&mut P` exists;
 /// they charge into this plain struct through the [`Fetcher`], and the
-/// executor flushes every chunk's counters **in ascending chunk order** at
-/// the phase boundary.  The bulk charge hooks repeat the singular ones, so
-/// a metering backend's clock sees the same additions at every
-/// `(workers, chunk)` setting — only their grouping follows the chunk
-/// boundaries, never the totals.
+/// executor flushes every chunk's counters **in ascending chunk order**.
+/// The bulk charge hooks repeat the singular ones, so a metering backend's
+/// clock sees the same additions at every `(workers, chunk)` setting — only
+/// their grouping follows the chunk boundaries, never the totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ChunkCosts {
     /// Loop iterations of control overhead.
@@ -213,7 +224,7 @@ struct ChunkCosts {
     calls: usize,
     /// Local distributed-array accesses.
     local_accesses: usize,
-    /// Nonlocal accesses resolved by binary search.
+    /// Nonlocal accesses, charged at the paper's binary-search cost.
     nonlocal_accesses: usize,
 }
 
@@ -230,87 +241,61 @@ impl ChunkCosts {
     }
 }
 
-/// Resolves global indices of the referenced array to values for a loop
-/// body running inside a chunk: local accesses translate the index,
-/// nonlocal accesses look the element up in the communication buffer (the
-/// "search overhead … unique to our system", §4).
+/// A loop body's view of its iteration's planned references.
+///
+/// [`Fetcher::get`]`(j)` reads reference `j` of the current iteration — the
+/// `j`-th element the plan's reference enumerator (`refs_of`, or the affine
+/// maps in order, out-of-bounds ones skipped) listed for it — through the
+/// slot localized at plan time.
 ///
 /// The fetcher holds no process handle, so a chunk can run on any worker
 /// thread.  Access costs — and the body's own arithmetic, charged through
 /// the `charge_*` methods — accumulate per chunk and are merged into the
 /// process deterministically afterwards, so the same body produces the same
 /// accounting at any worker count.
-pub struct Fetcher<'a, T, D: Distribution + ?Sized = dyn Distribution> {
-    dist: &'a D,
-    rank: usize,
+pub struct Fetcher<'a, T> {
     local_data: &'a [T],
     recv_buf: &'a [T],
-    schedule: &'a CommSchedule,
-    /// Chunk-local schedule window: the `(low, high, buffer)` receive
-    /// record hit by the most recent nonlocal reference.  Stencil chunks
-    /// touch long runs of consecutive ghost elements, so the common case
-    /// resolves inside this window with two compares and an add; the
-    /// schedule's `O(log r)` binary search runs only when a reference
-    /// leaves the window.  Starts empty (`high == 0` matches nothing) and
-    /// never escapes the chunk, so results and cost accounting are
-    /// identical at every `(workers, chunk)` setting.
-    window: (usize, usize, usize),
+    /// Slots below `owned` index `local_data`, the rest `recv_buf`.
+    owned: usize,
+    /// The current iteration's slots, in plan order.
+    refs: &'a [u32],
+    /// The current iteration (named when a body reads past its plan).
+    iter: usize,
     costs: ChunkCosts,
 }
 
-impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
-    /// A fetcher with an empty window and no costs charged yet.
-    fn new(
-        schedule: &'a CommSchedule,
-        dist: &'a D,
-        local_data: &'a [T],
-        recv_buf: &'a [T],
-    ) -> Self {
-        Fetcher {
-            dist,
-            rank: schedule.rank,
-            local_data,
-            recv_buf,
-            schedule,
-            window: (0, 0, 0),
-            costs: ChunkCosts::default(),
-        }
-    }
-
-    /// Fetch the value of global element `g` of the referenced array.
+impl<'a, T: Copy> Fetcher<'a, T> {
+    /// Read reference `j` of the current iteration.
     ///
-    /// Panics if `g` is neither owned nor covered by the schedule — that
-    /// means the schedule was built for a different reference pattern, which
-    /// is a correctness bug (the paper's system would read garbage).  The
-    /// lookup runs before the access is counted, and the panic propagates to
-    /// the calling rank with the chunk's costs discarded unflushed: nothing
-    /// is charged for work that never completed.
-    pub fn fetch(&mut self, g: usize) -> T {
-        if self.dist.is_local(self.rank, g) {
+    /// Panics if the plan lists fewer than `j + 1` references for the
+    /// iteration — the body and the plan disagree about the reference
+    /// pattern, a correctness bug.  The panic names the iteration, charges
+    /// nothing, and propagates to the calling rank with the chunk's costs
+    /// discarded unflushed.
+    #[inline]
+    pub fn get(&mut self, j: usize) -> T {
+        let Some(&slot) = self.refs.get(j) else {
+            self.unplanned(j)
+        };
+        let slot = slot as usize;
+        if slot < self.owned {
             self.costs.local_accesses += 1;
-            self.local_data[self.dist.local_index(g)]
+            self.local_data[slot]
         } else {
-            let (low, high, buffer) = self.window;
-            let pos = if g >= low && g < high {
-                buffer + (g - low)
-            } else {
-                let record = self.schedule.find_record(g).unwrap_or_else(|| {
-                    panic!(
-                        "global index {g} is neither local to rank {} nor in its receive schedule",
-                        self.rank
-                    )
-                });
-                self.window = record;
-                record.2 + (g - record.0)
-            };
             self.costs.nonlocal_accesses += 1;
-            self.recv_buf[pos]
+            self.recv_buf[slot - self.owned]
         }
     }
 
-    /// True when the element is stored locally (no communication needed).
-    pub fn is_local(&self, g: usize) -> bool {
-        self.dist.is_local(self.rank, g)
+    #[cold]
+    #[inline(never)]
+    fn unplanned(&self, j: usize) -> ! {
+        panic!(
+            "iteration {} reads reference {j}, but its plan lists {} reference(s)",
+            self.iter,
+            self.refs.len()
+        )
     }
 
     /// Charge `n` floating-point operations to this chunk.
@@ -334,82 +319,29 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
     }
 }
 
-/// Run one phase's iteration list in fixed-boundary chunks on the worker
-/// pool, returning each chunk's body values and accumulated costs in
-/// ascending chunk order.
-#[allow(clippy::too_many_arguments)]
-fn run_chunked_phase<D, T, V, F>(
-    iters: &[usize],
-    schedule: &CommSchedule,
-    data_dist: &D,
-    local_data: &[T],
-    recv_buf: &[T],
-    workers: usize,
-    chunk: usize,
-    body: &F,
-) -> Vec<(Vec<V>, ChunkCosts)>
-where
-    D: Distribution + ?Sized + Sync,
-    T: Copy + Sync,
-    V: Send,
-    F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
-{
-    let bounds = crate::pool::chunk_bounds(iters.len(), chunk);
-    crate::pool::run_chunks(workers, bounds.len(), |ci| {
-        let (start, end) = bounds[ci];
-        let mut fetcher = Fetcher::new(schedule, data_dist, local_data, recv_buf);
-        let mut values = Vec::with_capacity(end - start);
-        for &i in &iters[start..end] {
-            fetcher.costs.loop_iters += 1;
-            values.push(body(i, &mut fetcher));
-        }
-        (values, fetcher.costs)
-    })
-}
-
-/// Merge one phase's chunk results back on the rank's thread: flush each
-/// chunk's costs, then hand each `(iteration, value)` pair to `sink`, both
-/// in ascending chunk (and therefore ascending iteration) order.
-fn apply_chunk_results<P, V, W>(
-    proc: &mut P,
-    ranges: usize,
-    iters: &[usize],
-    results: Vec<(Vec<V>, ChunkCosts)>,
-    sink: &mut W,
-) where
-    P: Process,
-    W: FnMut(usize, V),
-{
-    let mut cursor = 0usize;
-    for (values, costs) in results {
-        costs.flush_into(proc, ranges);
-        for value in values {
-            sink(iters[cursor], value);
-            cursor += 1;
-        }
-    }
-    debug_assert_eq!(cursor, iters.len(), "every iteration produced a value");
-}
-
 /// Execute one sweep of a `forall` whose nonlocal data movement is described
 /// by `schedule`, in the code shape of Figure 3: send, local iterations,
 /// receive, nonlocal iterations.
 ///
 /// * `data_dist` / `local_data` — distribution and local storage of the
-///   array referenced inside the loop body (the paper's `old_a`).
+///   array referenced inside the loop body (the paper's `old_a`);
+///   `local_data` must be the storage the schedule was planned for
+///   (`schedule.owned` elements).
 /// * `body` — the loop body: a **read-only view** of the sweep (`Fn`, not
 ///   `FnMut`) that receives the global iteration index and a [`Fetcher`]
-///   for reading referenced elements, and returns one value per iteration.
+///   for reading the iteration's planned references, and returns one value
+///   per iteration.
 /// * `sink` — applies the writes: `sink(i, value)` runs on the calling
 ///   thread, in ascending iteration order within each phase.
 ///
 /// Each phase's iteration list is split into deterministic fixed-boundary
 /// chunks ([`ExecutorConfig::chunk`]) executed on up to
 /// [`ExecutorConfig::workers`] threads via [`crate::pool::run_chunks`]; at
-/// one worker every chunk runs inline on the calling thread.  Per-chunk
-/// cost counters merge in ascending chunk order, so results and metered
-/// counters are a function of the schedule and the body alone — never of
-/// the worker count or chunk size.
+/// one worker every chunk runs inline on the calling thread.  Each chunk's
+/// costs and values merge as soon as it and its predecessors finish, in
+/// ascending chunk order, so results and metered counters are a function
+/// of the schedule and the body alone — never of the worker count or chunk
+/// size.
 ///
 /// Every processor must call this collectively.  Returns the number of
 /// iterations executed locally (for reporting).
@@ -424,10 +356,10 @@ pub fn execute_sweep<P, D, T, V, F, W>(
 ) -> usize
 where
     P: Process,
-    D: Distribution + ?Sized + Sync,
+    D: Distribution + ?Sized,
     T: Copy + Sync + kali_process::Wire,
     V: Send,
-    F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
+    F: Fn(usize, &mut Fetcher<'_, T>) -> V + Sync,
     W: FnMut(usize, V),
 {
     let rank = proc.rank();
@@ -435,18 +367,37 @@ where
         schedule.rank, rank,
         "schedule belongs to a different processor"
     );
+    let executed = schedule.local_iters.len() + schedule.nonlocal_iters.len();
+    assert_eq!(
+        schedule.ref_rows.len(),
+        executed + 1,
+        "the schedule's reference table does not cover its iterations"
+    );
+    debug_assert!(
+        schedule.ref_slots.is_empty() || local_data.len() == schedule.owned,
+        "local data has {} elements, the schedule was planned for {}",
+        local_data.len(),
+        schedule.owned
+    );
     let tag = tags::executor_tag(config.tag);
     let workers = config.workers.max(1);
     let chunk = config.effective_chunk();
     let ranges = schedule.range_count();
     send_phase(proc, schedule, data_dist, local_data, tag);
 
-    let run_phase = |proc: &mut P, phase: usize, iters: &[usize], recv_buf: &[T], sink: &mut W| {
+    // Run one phase: `iters` are rows `first_row..` of the reference table.
+    let mut run_phase = |proc: &mut P, phase: usize, first_row: usize, recv_buf: &[T]| {
+        let iters = if phase == 0 {
+            &schedule.local_iters
+        } else {
+            &schedule.nonlocal_iters
+        };
+        let bounds = crate::pool::chunk_bounds(iters.len(), chunk);
         if proc.trace_active() {
             // One claim per chunk, recorded on the rank's thread before the
             // pool runs: the trace analyzer proves the claims of a phase
             // cover disjoint iteration positions (the sink's exclusivity).
-            for (start, end) in crate::pool::chunk_bounds(iters.len(), chunk) {
+            for &(start, end) in &bounds {
                 proc.trace_emit(EventKind::ChunkClaim {
                     sweep: config.tag,
                     phase,
@@ -455,24 +406,51 @@ where
                 });
             }
         }
-        let results = run_chunked_phase(
-            iters, schedule, data_dist, local_data, recv_buf, workers, chunk, &body,
+        crate::pool::run_chunks(
+            workers,
+            bounds.len(),
+            |ci| {
+                let (start, end) = bounds[ci];
+                let mut fetch = Fetcher {
+                    local_data,
+                    recv_buf,
+                    owned: schedule.owned,
+                    refs: &[],
+                    iter: 0,
+                    costs: ChunkCosts::default(),
+                };
+                let mut values = Vec::with_capacity(end - start);
+                let rows = &schedule.ref_rows[first_row + start..=first_row + end];
+                for (row, &i) in rows.windows(2).zip(&iters[start..end]) {
+                    fetch.refs = &schedule.ref_slots[row[0] as usize..row[1] as usize];
+                    fetch.iter = i;
+                    fetch.costs.loop_iters += 1;
+                    values.push(body(i, &mut fetch));
+                }
+                (values, fetch.costs)
+            },
+            |ci, (values, costs): (Vec<V>, ChunkCosts)| {
+                costs.flush_into(proc, ranges);
+                for (&i, value) in iters[bounds[ci].0..].iter().zip(values) {
+                    sink(i, value);
+                }
+            },
         );
-        apply_chunk_results(proc, ranges, iters, results, sink);
     };
 
+    let local_rows = schedule.local_iters.len();
     if config.overlap {
         // Paper order: local iterations run while messages are in flight.
-        run_phase(proc, 0, &schedule.local_iters, &[], &mut sink);
+        run_phase(proc, 0, 0, &[]);
         let recv_buf = receive_all(proc, schedule, tag);
-        run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf, &mut sink);
+        run_phase(proc, 1, local_rows, &recv_buf);
     } else {
         // Ablation: no overlap — wait for all data first.
         let recv_buf = receive_all(proc, schedule, tag);
-        run_phase(proc, 0, &schedule.local_iters, &recv_buf, &mut sink);
-        run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf, &mut sink);
+        run_phase(proc, 0, 0, &recv_buf);
+        run_phase(proc, 1, local_rows, &recv_buf);
     }
-    schedule.local_iters.len() + schedule.nonlocal_iters.len()
+    executed
 }
 
 #[cfg(test)]
@@ -517,7 +495,7 @@ mod tests {
                 &schedule,
                 &dist,
                 &local_a,
-                |i, fetch| fetch.fetch(i + 1),
+                |_, fetch| fetch.get(0),
                 |i, v| new_a[dist.local_index(i)] = v,
             );
             (rank, new_a)
@@ -575,7 +553,7 @@ mod tests {
                     &schedule,
                     &dist,
                     &local_a,
-                    |i, fetch| fetch.fetch(i + 1),
+                    |_, fetch| fetch.get(0),
                     |_, _| {},
                 );
             });
@@ -587,49 +565,69 @@ mod tests {
         assert!(ncube > 0.0);
     }
 
-    #[test]
-    fn schedule_mismatch_panic_leaves_cost_counters_untouched() {
-        // Regression: the fetcher used to charge the nonlocal access
-        // *before* checking the schedule covered the index, so the panic
-        // path left the counters (and on dmsim the simulated clock)
-        // inflated by an access that never happened.
-        let dist = DimDist::block(8, 2);
-        let empty = CommSchedule::from_recv_sets(0, &[], vec![], vec![]);
-        let local_data = [0.0f64; 4];
-        let mut fetcher = Fetcher::new(&empty, &dist, &local_data, &[]);
-        // Global index 6 is owned by rank 1 and not in the schedule: the
-        // lookup fails and fetch panics.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.fetch(6)));
-        assert!(result.is_err(), "unscheduled fetch must panic");
-        assert_eq!(
-            fetcher.costs,
-            ChunkCosts::default(),
-            "no access may be charged on the panic path"
-        );
-        // Sanity: the same fetcher charges exactly once on a successful path.
-        assert_eq!(fetcher.fetch(2), 0.0);
-        assert_eq!(fetcher.costs.local_accesses, 1);
-        assert_eq!(fetcher.costs.nonlocal_accesses, 0);
+    /// A fetcher over iteration `iter`'s planned slots.
+    fn fetcher<'a>(
+        schedule: &'a CommSchedule,
+        row: usize,
+        iter: usize,
+        local_data: &'a [f64],
+        recv_buf: &'a [f64],
+    ) -> Fetcher<'a, f64> {
+        Fetcher {
+            local_data,
+            recv_buf,
+            owned: schedule.owned,
+            refs: schedule.ref_row(row),
+            iter,
+            costs: ChunkCosts::default(),
+        }
     }
 
     #[test]
-    fn chunk_fetcher_window_agrees_with_the_schedule_search() {
-        // The chunk-local window is a pure cache: hits, misses, window
-        // switches and re-entries must all return exactly what a fresh
-        // `CommSchedule::find` returns, and every nonlocal fetch must be
-        // counted regardless of which path resolved it.
+    fn reading_past_the_plan_panics_and_charges_nothing() {
+        // Rank 0 of a block(8, 2) split: iteration 1 references 2 (owned)
+        // and 6 (received); a third read has no planned slot.
+        use distrib::IndexSet;
+        let dist = DimDist::block(8, 2);
+        let recv_sets = vec![IndexSet::new(), IndexSet::from_range(6, 7)];
+        let mut schedule = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![1]);
+        schedule.localize(&dist, |_, refs| refs.extend([2, 6]));
+        let local_data = [0.5f64, 1.5, 2.5, 3.5];
+        let mut fetch = fetcher(&schedule, 0, 1, &local_data, &[60.0]);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetch.get(2)));
+        let message = *result
+            .expect_err("a read past the plan must panic")
+            .downcast::<String>()
+            .unwrap();
+        assert!(message.contains("iteration 1"), "{message}");
+        assert_eq!(
+            fetch.costs,
+            ChunkCosts::default(),
+            "no access may be charged on the panic path"
+        );
+        // The planned reads charge exactly once each.
+        assert_eq!(fetch.get(0), 2.5);
+        assert_eq!(fetch.get(1), 60.0);
+        assert_eq!(fetch.costs.local_accesses, 1);
+        assert_eq!(fetch.costs.nonlocal_accesses, 1);
+    }
+
+    #[test]
+    fn get_reads_the_element_the_plan_listed() {
+        // Repeated, out-of-order and mixed owned/received references: every
+        // `get(j)` returns what an owner test plus the schedule's binary
+        // search would, and each read is counted by where it landed.
         use distrib::IndexSet;
         let dist = DimDist::block(8, 2); // rank 0 owns 0..4; 4..8 nonlocal
         let recv_sets = vec![IndexSet::new(), IndexSet::from_range(4, 8)];
-        let schedule = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![]);
+        let pattern = [4usize, 5, 6, 1, 7, 4, 0, 6];
+        let mut schedule = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![3]);
+        schedule.localize(&dist, |_, refs| refs.extend(pattern));
         let local_data = [0.5f64, 1.5, 2.5, 3.5];
         let recv_buf = [40.0f64, 50.0, 60.0, 70.0];
-        let mut fetcher = Fetcher::new(&schedule, &dist, &local_data, &recv_buf);
-        // Interleave local hits, the first nonlocal miss (seeds the
-        // window), in-window runs, and repeats after leaving the window.
-        let pattern = [4usize, 5, 6, 1, 7, 4, 0, 6];
+        let mut fetch = fetcher(&schedule, 0, 3, &local_data, &recv_buf);
         let mut nonlocal = 0;
-        for &g in &pattern {
+        for (j, &g) in pattern.iter().enumerate() {
             let expected = match schedule.find(g) {
                 Some(pos) => {
                     nonlocal += 1;
@@ -637,14 +635,10 @@ mod tests {
                 }
                 None => local_data[dist.local_index(g)],
             };
-            assert_eq!(fetcher.fetch(g).to_bits(), expected.to_bits());
+            assert_eq!(fetch.get(j).to_bits(), expected.to_bits(), "reference {j}");
         }
-        assert_eq!(fetcher.costs.nonlocal_accesses, nonlocal);
-        assert_eq!(fetcher.costs.local_accesses, pattern.len() - nonlocal);
-        // The window now covers the receive range; an out-of-schedule
-        // index still panics instead of resolving through stale state.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.fetch(9)));
-        assert!(result.is_err(), "index 9 is outside the schedule");
+        assert_eq!(fetch.costs.nonlocal_accesses, nonlocal);
+        assert_eq!(fetch.costs.local_accesses, pattern.len() - nonlocal);
     }
 
     #[test]
@@ -713,11 +707,11 @@ mod tests {
                     &schedule,
                     &dist,
                     &local_a,
-                    |i, fetch| {
+                    |_, fetch| {
                         fetch.charge_flops(2);
                         fetch.charge_mem_refs(3);
                         fetch.charge_calls(1);
-                        fetch.fetch(i + 1)
+                        fetch.get(0)
                     },
                     |_, _| {},
                 );
@@ -744,25 +738,123 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "SPMD worker panicked")]
-    fn fetching_unscheduled_element_panics() {
+    fn reading_an_unplanned_reference_panics() {
         let machine = Machine::new(2, CostModel::ideal());
         machine.run(|proc| {
             let dist = DimDist::block(8, 2);
             let rank = proc.rank();
             let local_a: Vec<f64> = dist.local_set(rank).iter().map(|_| 0.0).collect();
-            // Schedule built for the identity pattern (no communication)…
+            // Schedule built for one reference per iteration…
             let exec = owner_computes_iters(&dist, rank, 8);
             let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i));
-            // …but the body reaches across the boundary, on a worker thread.
+            // …but the body reads a second one, on a worker thread.
             execute_sweep(
                 proc,
                 ExecutorConfig::default().with_workers(2).with_chunk(2),
                 &schedule,
                 &dist,
                 &local_a,
-                |i, fetch| fetch.fetch((i + 4) % 8),
+                |_, fetch| fetch.get(1),
                 |_, _: f64| {},
             );
         });
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Run one sweep of `refs` (iteration `i` reads `refs[i]`, in
+        /// order) over an owner table on 3 ranks.  Each element's value is
+        /// its global index.  Returns what every body read, per iteration,
+        /// and per rank the sweep's nonlocal-access count and simulated
+        /// seconds under a model charging one second per local access.
+        #[allow(clippy::type_complexity)]
+        fn sweep(
+            owners: &[usize],
+            refs: &[Vec<usize>],
+            (workers, chunk): (usize, usize),
+        ) -> (Vec<(usize, Vec<f64>)>, Vec<(u64, f64)>) {
+            let cost = CostModel {
+                flop: 1.0,
+                ..CostModel::ideal()
+            };
+            let per_rank = Machine::new(3, cost).run(|proc| {
+                let dist = DimDist::custom(owners.to_vec(), 3);
+                let rank = proc.rank();
+                let local: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+                let exec = owner_computes_iters(&dist, rank, owners.len());
+                let schedule = run_inspector(proc, &dist, &exec, |i, out| out.extend(&refs[i]));
+                let (before, clock) = (proc.counters(), proc.time());
+                let mut read = Vec::new();
+                execute_sweep(
+                    proc,
+                    ExecutorConfig::default()
+                        .with_workers(workers)
+                        .with_chunk(chunk),
+                    &schedule,
+                    &dist,
+                    &local,
+                    |i, fetch| (0..refs[i].len()).map(|j| fetch.get(j)).collect::<Vec<_>>(),
+                    |i, values| read.push((i, values)),
+                );
+                let nonlocal = proc.counters().since(&before).nonlocal_refs;
+                // Each nonlocal access costs ceil(log2 r) >= 1 flops (§4's
+                // search); the rest of the sweep's seconds are local reads.
+                let steps = (schedule.range_count().max(1) as f64)
+                    .log2()
+                    .ceil()
+                    .max(1.0);
+                let local_seconds = proc.time() - clock - nonlocal as f64 * steps;
+                (read, (nonlocal, local_seconds))
+            });
+            let mut read = Vec::new();
+            let mut charged = Vec::new();
+            for (r, c) in per_rank {
+                read.extend(r);
+                charged.push(c);
+            }
+            read.sort_by_key(|&(i, _)| i);
+            (read, charged)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            #[test]
+            fn get_reads_the_listed_element_and_charges_by_owner(
+                table in proptest::collection::vec(
+                    (0usize..3, proptest::collection::vec(0usize..1000, 0..5)),
+                    1..40,
+                )
+            ) {
+                let n = table.len();
+                let owners: Vec<usize> = table.iter().map(|(o, _)| *o).collect();
+                let refs: Vec<Vec<usize>> = table
+                    .iter()
+                    .map(|(_, r)| r.iter().map(|g| g % n).collect())
+                    .collect();
+                // The owner-based count: per rank, the references of the
+                // iterations it owns, split by who owns the element.
+                let mut expected = vec![(0u64, 0.0f64); 3];
+                for (i, row) in refs.iter().enumerate() {
+                    for &g in row {
+                        if owners[g] == owners[i] {
+                            expected[owners[i]].1 += 1.0;
+                        } else {
+                            expected[owners[i]].0 += 1;
+                        }
+                    }
+                }
+                for point in KNOB_GRID {
+                    let (read, charged) = sweep(&owners, &refs, point);
+                    prop_assert_eq!(read.len(), n);
+                    for (i, values) in &read {
+                        let want: Vec<f64> = refs[*i].iter().map(|&g| g as f64).collect();
+                        prop_assert_eq!(values, &want, "iteration {} at {:?}", i, point);
+                    }
+                    prop_assert_eq!(&charged, &expected, "charges at {:?}", point);
+                }
+            }
+        }
     }
 }

@@ -29,7 +29,8 @@
 //! `i = N-1` when the loop was not restricted to `1..N-1`) is a programming
 //! error: **debug builds panic during [`ParallelLoop::plan`]**, on both the
 //! compile-time and the inspector path; release builds treat the reference
-//! as absent (it is never fetched).  The inspector additionally
+//! as absent (it gets no slot, so the iteration's later references move up
+//! one position in [`Fetcher::get`]).  The inspector additionally
 //! debug-asserts every enumerated reference against the array bounds, so
 //! data-dependent subscripts get the same treatment through
 //! [`ParallelLoop::plan_indirect`].
@@ -225,10 +226,10 @@ impl<S: IterSpace> ParallelLoop<S> {
     ) -> usize
     where
         P: Process,
-        D: Distribution + ?Sized + Sync,
+        D: Distribution + ?Sized,
         T: Copy + Sync + kali_process::Wire,
         V: Send,
-        F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
+        F: Fn(usize, &mut Fetcher<'_, T>) -> V + Sync,
         W: FnMut(usize, V),
     {
         let config = self.align_chunk(config);
@@ -270,12 +271,12 @@ impl<S: IterSpace> ParallelLoop<S> {
     ) -> R::Acc
     where
         P: Process,
-        D: Distribution + ?Sized + Sync,
+        D: Distribution + ?Sized,
         T: Copy + Sync + kali_process::Wire,
         V: Send,
         R: ReduceOp,
         R::Input: Send,
-        F: Fn(usize, &mut Fetcher<'_, T, D>) -> (V, R::Input) + Sync,
+        F: Fn(usize, &mut Fetcher<'_, T>) -> (V, R::Input) + Sync,
         W: FnMut(usize, V),
     {
         // Contributions arrive in executor order: the local iterations,
@@ -578,7 +579,7 @@ mod tests {
                 &schedule,
                 &dist,
                 &local_a,
-                |i, fetch| fetch.fetch(i + 1),
+                |_, fetch| fetch.get(0),
                 |i, v| out[dist.local_index(i)] = v,
             );
             (rank, out)
@@ -689,7 +690,7 @@ mod tests {
                 &schedule,
                 &flat,
                 &local_a,
-                |g, fetch| fetch.fetch(g + c),
+                |_, fetch| fetch.get(0),
                 |g, v| out[flat.local_index(g)] = v,
             );
             (rank, out)

@@ -15,6 +15,11 @@
 //! 4. a crystal-router global exchange converts receive lists into send
 //!    lists (`out(p,q) = in(q,p)`).
 //!
+//! The same locality pass *localizes* each reference: it stores the slot
+//! the executor will read it from (the element's local offset, or its
+//! position in the receive buffer, patched in after step 3), so a sweep
+//! never repeats the locality test.
+//!
 //! The output is a [`CommSchedule`] which the executor uses for every
 //! subsequent execution of the same `forall` (see [`crate::cache`]) — valid
 //! for as long as the data feeding `refs_of` and the distributions stand
@@ -27,7 +32,12 @@
 use distrib::{Distribution, IndexSet};
 
 use crate::process::Process;
-use crate::schedule::{CommSchedule, RangeRecord};
+use crate::schedule::{assert_slot_space, reserve_rows, row_start, CommSchedule, RangeRecord};
+
+/// Placeholder for a received slot, patched once the receive buffer's
+/// offsets are assigned (a real slot is below `u32::MAX`, see
+/// [`assert_slot_space`]).
+const PENDING: u32 = u32::MAX;
 
 /// Run the inspector for one `forall` on the calling processor.
 ///
@@ -64,14 +74,28 @@ where
     );
 
     // ---- Phase 1: locality-checking loop over every reference -------------
+    // The same pass localizes every reference: an owned element's slot is
+    // its `local_index`; a nonlocal one waits for its buffer offset, which
+    // exists only after phase 2.  Rows land in one table per phase so the
+    // final table is in executor order (local iterations, then nonlocal).
+    let owned = data_dist.local_count(rank);
     let mut local_iters = Vec::new();
     let mut nonlocal_iters = Vec::new();
     let mut per_source: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
+    let mut local_rows = Vec::with_capacity(exec_iters.len() + 1);
+    local_rows.push(0u32);
+    let mut local_slots: Vec<u32> = Vec::new();
+    let mut nonlocal_rows = vec![0u32];
+    let mut nonlocal_slots: Vec<u32> = Vec::new();
+    // (position in `nonlocal_slots`, global index) of every received slot.
+    let mut pending: Vec<(usize, usize)> = Vec::new();
     let mut refs = Vec::new();
-    for &i in exec_iters {
+    for (k, &i) in exec_iters.iter().enumerate() {
         proc.charge_loop_iters(1);
         refs.clear();
         refs_of(i, &mut refs);
+        reserve_rows(&mut local_slots, k, refs.len(), exec_iters.len());
+        let row = local_slots.len();
         let mut all_local = true;
         for &g in &refs {
             // Catch stale reference enumerators early: under adaptive
@@ -89,15 +113,26 @@ where
             // arrays are local" — one owner computation per reference.
             proc.charge_locality_check();
             let home = data_dist.owner(g);
-            if home != rank {
+            if home == rank {
+                local_slots.push(data_dist.local_index(g) as u32);
+            } else {
                 all_local = false;
                 per_source[home].push(g);
+                local_slots.push(PENDING);
             }
         }
         if all_local {
             local_iters.push(i);
+            local_rows.push(row_start(local_slots.len()));
         } else {
             nonlocal_iters.push(i);
+            for (&g, slot) in refs.iter().zip(local_slots.drain(row..)) {
+                if slot == PENDING {
+                    pending.push((nonlocal_slots.len(), g));
+                }
+                nonlocal_slots.push(slot);
+            }
+            nonlocal_rows.push(row_start(nonlocal_slots.len()));
         }
     }
 
@@ -112,6 +147,26 @@ where
         })
         .collect();
     let mut schedule = CommSchedule::from_recv_sets(rank, &recv_sets, local_iters, nonlocal_iters);
+
+    // Patch the received slots now that buffer offsets exist, and append
+    // the nonlocal rows after the local ones.
+    assert_slot_space(owned, schedule.recv_len);
+    for (pos, g) in pending {
+        let buffer = schedule
+            .find(g)
+            .expect("every nonlocal reference is in a receive record");
+        nonlocal_slots[pos] = (owned + buffer) as u32;
+    }
+    let base = local_slots.len();
+    local_rows.extend(
+        nonlocal_rows[1..]
+            .iter()
+            .map(|&r| row_start(base + r as usize)),
+    );
+    local_slots.extend_from_slice(&nonlocal_slots);
+    schedule.owned = owned;
+    schedule.ref_rows = local_rows;
+    schedule.ref_slots = local_slots;
 
     // ---- Phase 3: global exchange to build the send lists ------------------
     // Each receive record is routed to its home processor, where it becomes a

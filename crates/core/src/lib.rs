@@ -19,7 +19,9 @@
 //!   distribution, giving owner tests and global↔local index translation.
 //! * [`schedule::CommSchedule`] — the `in(p,q)` / `out(p,q)` sets of §3.1,
 //!   stored exactly as the paper stores them: sorted, coalesced range
-//!   records with `O(log r)` binary-search access (§3.3, Figure 5).
+//!   records with `O(log r)` binary-search access (§3.3, Figure 5), plus a
+//!   localized reference table resolving every planned reference once, at
+//!   plan time, to a slot of `[owned | receive buffer]`.
 //! * [`analysis`] — **compile-time** communication analysis: closed-form
 //!   schedules for affine subscripts (`A[i±c]`) under any distribution,
 //!   requiring no run-time set computation at all (§3.2) — in one dimension
@@ -32,9 +34,10 @@
 //!   exchange (§3.3, Figure 6).
 //! * [`executor`] — the executor: send boundary data, run local iterations
 //!   (overlapping communication), receive, run nonlocal iterations, with
-//!   received elements found by binary search over the range records.  One
-//!   executor serves every loop; its iteration chunks run inline or on an
-//!   intra-rank worker pool without changing a result.
+//!   every reference read through its plan-time slot (the paper's per-access
+//!   search cost is still charged on dmsim).  One executor serves every
+//!   loop; its iteration chunks run inline or on an intra-rank worker pool
+//!   without changing a result.
 //! * [`cache`] — schedule caching between repeated executions of the same
 //!   `forall`, the amortisation that makes the inspector affordable (§3.2).
 //!   The cache is bounded (LRU) and self-invalidating: version bumps evict

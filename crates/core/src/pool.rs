@@ -6,9 +6,11 @@
 //! [`std::thread::scope`] (no extra dependencies, no long-lived threads):
 //! workers are spawned for the duration of one phase, claim chunk indices
 //! from a shared atomic counter, and send `(index, result)` pairs back over
-//! a channel.  The caller reassembles results **by chunk index**, so the
-//! output is a deterministic function of the chunk boundaries alone — which
-//! worker ran which chunk, and in what order, is unobservable.
+//! a channel.  The caller consumes results **in chunk-index order**, each
+//! as soon as it and every chunk before it have finished, so the
+//! consumption sequence is a deterministic function of the chunk
+//! boundaries alone — which worker ran which chunk, and in what order, is
+//! unobservable — and only the chunks finished out of order are held.
 //!
 //! With `workers <= 1` (the default everywhere) the chunks run inline on the
 //! calling thread and no threads are spawned, so the dmsim simulator's cost
@@ -18,24 +20,40 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Run `run(0..n_chunks)` across up to `workers` threads (the calling
-/// thread participates) and return the results in ascending chunk order.
+/// thread participates) and hand each result to `consume` on the calling
+/// thread, in ascending chunk order.
 ///
-/// * Deterministic: the returned `Vec` depends only on `run` and
-///   `n_chunks`, never on scheduling.
+/// * Deterministic: `consume` sees `(0, run(0)), (1, run(1)), …` whatever
+///   the scheduling.
+/// * Bounded: a result is consumed as soon as it and every lower-indexed
+///   chunk have finished; only results that finished ahead of a slower
+///   predecessor wait.
 /// * Panic-safe: a panic inside `run` on any worker propagates to the
 ///   caller when the scope joins.
 /// * Cheap when serial: `workers <= 1` or `n_chunks <= 1` runs inline with
 ///   no thread, no channel, no atomics.
-pub fn run_chunks<V, F>(workers: usize, n_chunks: usize, run: F) -> Vec<V>
+pub fn run_chunks<V, F, C>(workers: usize, n_chunks: usize, run: F, mut consume: C)
 where
     V: Send,
     F: Fn(usize) -> V + Sync,
+    C: FnMut(usize, V),
 {
     if workers <= 1 || n_chunks <= 1 {
-        return (0..n_chunks).map(run).collect();
+        for i in 0..n_chunks {
+            consume(i, run(i));
+        }
+        return;
     }
 
-    let mut slots: Vec<Option<V>> = (0..n_chunks).map(|_| None).collect();
+    let mut done: Vec<Option<V>> = (0..n_chunks).map(|_| None).collect();
+    let mut consumed = 0usize;
+    // Consume every finished result at the head of the chunk order.
+    let mut drain = |done: &mut [Option<V>], consumed: &mut usize| {
+        while let Some(v) = done.get_mut(*consumed).and_then(Option::take) {
+            consume(*consumed, v);
+            *consumed += 1;
+        }
+    };
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, V)>();
     let n_threads = workers.min(n_chunks);
@@ -58,28 +76,32 @@ where
             });
         }
         // The calling thread claims chunks too: with W workers requested,
-        // W threads compute (W - 1 spawned + this one).
+        // W threads compute (W - 1 spawned + this one).  Between its own
+        // chunks it collects and consumes what the workers have finished.
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n_chunks {
                 break;
             }
-            let v = run(i);
-            slots[i] = Some(v);
+            done[i] = Some(run(i));
+            while let Ok((j, v)) = rx.try_recv() {
+                done[j] = Some(v);
+            }
+            drain(&mut done, &mut consumed);
         }
         drop(tx);
         // Spawned workers' results drain here; `recv` errors exactly when
         // every sender is dropped (worker finished or panicked).  A worker
         // panic surfaces when the scope joins, below.
-        while let Ok((i, v)) = rx.recv() {
-            slots[i] = Some(v);
+        while let Ok((j, v)) = rx.recv() {
+            done[j] = Some(v);
+            drain(&mut done, &mut consumed);
         }
     });
-
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk index was claimed and completed"))
-        .collect()
+    assert_eq!(
+        consumed, n_chunks,
+        "every chunk index was claimed and completed"
+    );
 }
 
 /// Split `len` items into fixed-boundary chunks of `chunk` items (the last
@@ -125,13 +147,42 @@ mod tests {
         assert_eq!(chunk_bounds(3, 0), vec![(0, 1), (1, 2), (2, 3)]);
     }
 
+    /// Collect every consumed `(index, result)` pair in consumption order.
+    fn collect<V: Send>(
+        workers: usize,
+        n: usize,
+        run: impl Fn(usize) -> V + Sync,
+    ) -> Vec<(usize, V)> {
+        let mut out = Vec::new();
+        run_chunks(workers, n, run, |i, v| out.push((i, v)));
+        out
+    }
+
     #[test]
     fn results_come_back_in_chunk_order_for_any_worker_count() {
-        let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
+        let expected: Vec<(usize, usize)> = (0..37).map(|i| (i, i * i)).collect();
         for workers in [0usize, 1, 2, 3, 8, 64] {
-            let got = run_chunks(workers, 37, |i| i * i);
+            let got = collect(workers, 37, |i| i * i);
             assert_eq!(got, expected, "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn each_result_is_consumed_before_the_next_chunk_runs_when_serial() {
+        // The serial path holds at most one chunk's result: run and
+        // consume strictly alternate.
+        use std::sync::Mutex;
+        let log = Mutex::new(Vec::new());
+        run_chunks(
+            1,
+            4,
+            |i| log.lock().unwrap().push(format!("run {i}")),
+            |i, ()| log.lock().unwrap().push(format!("consume {i}")),
+        );
+        let expected: Vec<String> = (0..4)
+            .flat_map(|i| [format!("run {i}"), format!("consume {i}")])
+            .collect();
+        assert_eq!(log.into_inner().unwrap(), expected);
     }
 
     #[test]
@@ -146,18 +197,18 @@ mod tests {
         // race, so require only that the set is non-empty and results are
         // right (determinism is covered by the test above).
         let n = 64;
-        let got = run_chunks(4, n, |i| {
+        let got = collect(4, n, |i| {
             seen.lock().unwrap().insert(std::thread::current().id());
             i + 1
         });
-        assert_eq!(got, (1..=n).collect::<Vec<_>>());
+        assert_eq!(got, (0..n).map(|i| (i, i + 1)).collect::<Vec<_>>());
         assert!(!seen.lock().unwrap().is_empty());
     }
 
     #[test]
     fn worker_panic_propagates_to_the_caller() {
         let result = std::panic::catch_unwind(|| {
-            run_chunks(4, 16, |i| {
+            collect(4, 16, |i| {
                 if i == 7 {
                     panic!("boom in chunk 7");
                 }
@@ -170,7 +221,7 @@ mod tests {
     #[test]
     fn serial_path_spawns_nothing_and_preserves_order() {
         let tid = std::thread::current().id();
-        let got = run_chunks(1, 10, |i| (i, std::thread::current().id()));
+        let got = collect(1, 10, |_| std::thread::current().id());
         for (i, (j, t)) in got.iter().enumerate() {
             assert_eq!(i, *j);
             assert_eq!(*t, tid);

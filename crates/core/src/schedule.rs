@@ -9,9 +9,14 @@
 //!
 //! [`CommSchedule`] is that data structure plus the two iteration lists the
 //! inspector produces (`local_list` and `nonlocal_list`), which drive the
-//! executor's "local iterations / nonlocal iterations" split.
+//! executor's "local iterations / nonlocal iterations" split, plus the
+//! *localized reference table*: every planned reference resolved once, at
+//! plan time, to a flat slot of the ghost-extended array
+//! `[owned | receive buffer]` — the "localize" step of the inspector/executor
+//! runtimes that followed the paper (PARTI/CHAOS).  The executor reads
+//! references through that table and never searches the records.
 
-use distrib::{IndexRange, IndexSet};
+use distrib::{Distribution, IndexRange, IndexSet};
 use kali_process::{Wire, WireError, WireReader};
 
 /// One contiguous block of a distributed array to be communicated between a
@@ -97,6 +102,20 @@ pub struct CommSchedule {
     /// Total number of elements to be received (the communication buffer
     /// length).
     pub recv_len: usize,
+    /// Elements of the referenced array this rank owned when the schedule
+    /// was planned: reference slots below it index the rank's local
+    /// storage, slots at or above it the receive buffer.
+    pub owned: usize,
+    /// Row starts of the localized reference table (CSR): row `k` holds the
+    /// references of the `k`-th executed iteration in executor order — the
+    /// local iterations, then the nonlocal ones — and spans
+    /// `ref_slots[ref_rows[k]..ref_rows[k + 1]]`.  One entry more than
+    /// there are executed iterations.
+    pub ref_rows: Vec<u32>,
+    /// One slot per planned reference, in the order the plan's reference
+    /// enumerator listed them: `local_index(g)` for an owned element,
+    /// `owned + buffer position` for a received one.
+    pub ref_slots: Vec<u32>,
     /// Lookup table for nonlocal accesses: `(low, high, buffer)` sorted by
     /// `low`.  Global ranges from different senders are disjoint (every
     /// element has one home), so a plain binary search on `low` suffices.
@@ -116,7 +135,9 @@ impl CommSchedule {
     /// order in which the executor unpacks incoming messages.  Send records
     /// are *not* filled in here — they are only known after the global
     /// exchange (`out(p,q) = in(q,p)`); use
-    /// [`CommSchedule::set_send_records`].
+    /// [`CommSchedule::set_send_records`].  The reference table starts with
+    /// one empty row per iteration; the planners fill it
+    /// ([`CommSchedule::localize`], or the inspector's own locality pass).
     pub fn from_recv_sets(
         rank: usize,
         recv_sets: &[IndexSet],
@@ -151,6 +172,7 @@ impl CommSchedule {
                 offset += r.len();
             }
         }
+        let executed = local_iters.len() + nonlocal_iters.len();
         let mut schedule = CommSchedule {
             rank,
             recv_records,
@@ -158,6 +180,9 @@ impl CommSchedule {
             local_iters,
             nonlocal_iters,
             recv_len: offset,
+            owned: 0,
+            ref_rows: vec![0; executed + 1],
+            ref_slots: Vec::new(),
             lookup: Vec::new(),
         };
         schedule.rebuild_lookup();
@@ -188,15 +213,77 @@ impl CommSchedule {
         self.lookup.sort_unstable();
     }
 
+    /// Fill the localized reference table by enumerating every executed
+    /// iteration's references in executor order (local iterations, then
+    /// nonlocal ones) — the closed-form planners' half of plan-time
+    /// localization; the inspector fills the table in its own locality
+    /// pass instead.
+    ///
+    /// `refs_of(i, out)` pushes iteration `i`'s global references in the
+    /// order the loop body reads them.  An owned element resolves to its
+    /// `local_index`, a received one to `owned + buffer position` through
+    /// one binary search.  Panics if a reference is neither owned nor
+    /// received (the schedule does not serve the reference pattern), or if
+    /// the slots overflow `u32`.
+    pub fn localize<D, F>(&mut self, data_dist: &D, mut refs_of: F)
+    where
+        D: Distribution + ?Sized,
+        F: FnMut(usize, &mut Vec<usize>),
+    {
+        let rank = self.rank;
+        let owned = data_dist.local_count(rank);
+        assert_slot_space(owned, self.recv_len);
+        let executed = self.local_iters.len() + self.nonlocal_iters.len();
+        let mut rows = Vec::with_capacity(executed + 1);
+        rows.push(0u32);
+        let mut slots = Vec::new();
+        let mut refs = Vec::new();
+        for (row, &i) in self
+            .local_iters
+            .iter()
+            .chain(&self.nonlocal_iters)
+            .enumerate()
+        {
+            refs.clear();
+            refs_of(i, &mut refs);
+            reserve_rows(&mut slots, row, refs.len(), executed);
+            for &g in &refs {
+                let slot = if data_dist.owner(g) == rank {
+                    data_dist.local_index(g)
+                } else {
+                    owned
+                        + self.find(g).unwrap_or_else(|| {
+                            panic!(
+                                "iteration {i} references element {g}, which rank {rank} \
+                                 neither owns nor receives"
+                            )
+                        })
+                };
+                slots.push(slot as u32);
+            }
+            rows.push(row_start(slots.len()));
+        }
+        self.owned = owned;
+        self.ref_rows = rows;
+        self.ref_slots = slots;
+    }
+
+    /// The slots of row `row` of the localized reference table (the
+    /// `row`-th executed iteration in executor order).
+    pub fn ref_row(&self, row: usize) -> &[u32] {
+        &self.ref_slots[self.ref_rows[row] as usize..self.ref_rows[row + 1] as usize]
+    }
+
     /// Approximate heap footprint of the schedule in bytes — the quantity
     /// the schedule cache sums into its resident-bytes gauge.  Counts the
-    /// record vectors, the iteration lists and the lookup table; exact
-    /// allocator overhead is not modelled.
+    /// record vectors, the iteration lists, the localized reference table
+    /// and the lookup table; exact allocator overhead is not modelled.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + (self.recv_records.len() + self.send_records.len())
                 * std::mem::size_of::<RangeRecord>()
             + (self.local_iters.len() + self.nonlocal_iters.len()) * std::mem::size_of::<usize>()
+            + (self.ref_rows.len() + self.ref_slots.len()) * std::mem::size_of::<u32>()
             + self.lookup.len() * std::mem::size_of::<(usize, usize, usize)>()
     }
 
@@ -249,28 +336,13 @@ impl CommSchedule {
     }
 
     /// Find the communication-buffer position of a received global index by
-    /// binary search over the range records — the access path the executor
-    /// uses for nonlocal references (`O(log r)`).
+    /// binary search over the range records (`O(log r)`, §3.3).  Planning
+    /// resolves each nonlocal reference through it once; the executor reads
+    /// the resulting slots and never searches.
     pub fn find(&self, global: usize) -> Option<usize> {
-        self.find_record(global)
-            .map(|(low, _, buffer)| buffer + (global - low))
-    }
-
-    /// Locate the whole receive record covering a global index — `(low,
-    /// high, buffer)` with `low <= global < high` — with one binary search.
-    ///
-    /// This is [`CommSchedule::find`] without the final offset arithmetic:
-    /// the executor's fetcher hoists the returned record as a chunk-local
-    /// window, so a run of references landing in the same record resolves
-    /// by offset arithmetic alone and pays the `O(log r)` search only when
-    /// the run leaves the window.
-    pub fn find_record(&self, global: usize) -> Option<(usize, usize, usize)> {
         let idx = self.lookup.partition_point(|&(low, _, _)| low <= global);
-        if idx == 0 {
-            return None;
-        }
-        let (low, high, buffer) = self.lookup[idx - 1];
-        (global < high).then_some((low, high, buffer))
+        let (low, high, buffer) = *self.lookup.get(idx.checked_sub(1)?)?;
+        (global < high).then(|| buffer + (global - low))
     }
 
     /// The set of global indices this processor receives (for tests and
@@ -347,6 +419,34 @@ pub struct ScheduleSignature {
     pub local_iters: Vec<usize>,
     /// Iterations with at least one nonlocal reference.
     pub nonlocal_iters: Vec<usize>,
+}
+
+/// Assert at plan time that every reference slot of a rank owning `owned`
+/// elements and receiving `recv_len` fits the table's `u32` slots.
+pub(crate) fn assert_slot_space(owned: usize, recv_len: usize) {
+    assert!(
+        owned
+            .checked_add(recv_len)
+            .is_some_and(|n| n < u32::MAX as usize),
+        "{owned} owned + {recv_len} received elements overflow the u32 reference slots"
+    );
+}
+
+/// Size a reference table's slot vector from its first row: a stencil's
+/// rows are all alike, so `first row length × rows` is exact for them and
+/// the table grows without reallocation copies; irregular rows fall back
+/// to ordinary growth.
+pub(crate) fn reserve_rows(slots: &mut Vec<u32>, row: usize, len: usize, rows: usize) {
+    if row == 0 {
+        slots.reserve(len * rows);
+    }
+}
+
+/// A row start of the localized reference table, asserting at plan time
+/// that the table's length fits `u32`.
+pub(crate) fn row_start(len: usize) -> u32 {
+    u32::try_from(len)
+        .unwrap_or_else(|_| panic!("{len} planned references overflow the u32 row starts"))
 }
 
 fn count_distinct<I: Iterator<Item = usize>>(iter: I) -> usize {
@@ -440,26 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn find_record_returns_the_covering_window() {
-        let s = sample_schedule();
-        assert_eq!(s.find_record(10), Some((10, 13, 0)));
-        assert_eq!(s.find_record(12), Some((10, 13, 0)));
-        assert_eq!(s.find_record(21), Some((20, 22, 3)));
-        assert_eq!(s.find_record(30), Some((30, 31, 5)));
-        assert_eq!(s.find_record(13), None);
-        assert_eq!(s.find_record(9), None);
-        assert_eq!(s.find_record(31), None);
-        // `find` is exactly `find_record` plus offset arithmetic, so a
-        // cached window can never disagree with a fresh search.
-        for g in 0..40 {
-            assert_eq!(
-                s.find(g),
-                s.find_record(g).map(|(low, _, buffer)| buffer + (g - low))
-            );
-        }
-    }
-
-    #[test]
     fn messages_group_by_partner() {
         let s = sample_schedule();
         let recv = s.recv_messages();
@@ -536,6 +616,39 @@ mod tests {
         }
         assert_eq!(s.find(9), None);
         assert_eq!(s.find(4), None);
+    }
+
+    #[test]
+    fn localize_resolves_owned_and_received_slots_in_executor_order() {
+        // Rank 1 of block(8, 2) owns 4..8 and receives 2..4 from rank 0.
+        // Iteration 6 is local; 4 and 5 read received elements.
+        use distrib::DimDist;
+        let dist = DimDist::block(8, 2);
+        let recv_sets = vec![IndexSet::from_range(2, 4), IndexSet::new()];
+        let mut s = CommSchedule::from_recv_sets(1, &recv_sets, vec![6], vec![4, 5]);
+        assert_eq!(s.ref_rows, vec![0, 0, 0, 0], "one empty row per iteration");
+        s.localize(&dist, |i, out| out.extend([i, i - 2]));
+        assert_eq!(s.owned, 4);
+        // Rows in executor order: 6, then 4, then 5.
+        assert_eq!(s.ref_row(0), &[2, 0]);
+        assert_eq!(s.ref_row(1), &[0, 4]);
+        assert_eq!(s.ref_row(2), &[1, 5]);
+        assert_eq!(s.ref_rows, vec![0, 2, 4, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "neither owns nor receives")]
+    fn localizing_an_unscheduled_reference_panics() {
+        use distrib::DimDist;
+        let dist = DimDist::block(8, 2);
+        let mut s = CommSchedule::from_recv_sets(0, &[], vec![], vec![1]);
+        s.localize(&dist, |_, out| out.push(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u32 reference slots")]
+    fn slot_space_past_u32_is_rejected() {
+        assert_slot_space(u32::MAX as usize - 3, 3);
     }
 
     #[test]

@@ -345,10 +345,10 @@ impl Session {
     where
         P: Process,
         S: IterSpace,
-        D: Distribution + ?Sized + Sync,
+        D: Distribution + ?Sized,
         T: Copy + Sync + kali_process::Wire,
         V: Send,
-        F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
+        F: Fn(usize, &mut Fetcher<'_, T>) -> V + Sync,
         W: FnMut(usize, V),
     {
         let config = self.next_sweep_config();
@@ -376,12 +376,12 @@ impl Session {
     where
         P: Process,
         S: IterSpace,
-        D: Distribution + ?Sized + Sync,
+        D: Distribution + ?Sized,
         T: Copy + Sync + kali_process::Wire,
         V: Send,
         R: ReduceOp,
         R::Input: Send,
-        F: Fn(usize, &mut Fetcher<'_, T, D>) -> (V, R::Input) + Sync,
+        F: Fn(usize, &mut Fetcher<'_, T>) -> (V, R::Input) + Sync,
         W: FnMut(usize, V),
     {
         let config = self.next_sweep_config();
@@ -574,7 +574,7 @@ mod tests {
                     &schedule,
                     &dist,
                     &local,
-                    |i, fetch| fetch.fetch(i + 1),
+                    |_, fetch| fetch.get(0),
                     |i, v| out[dist.local_index(i)] = v,
                 );
             }
@@ -603,7 +603,7 @@ mod tests {
                 &dist,
                 &local,
                 Reduce::<Sum<f64>>::new(),
-                |i, fetch| ((), fetch.fetch(i)),
+                |_, fetch| ((), fetch.get(0)),
                 |_, ()| {},
             );
             (total, session.stats())
@@ -704,8 +704,8 @@ mod tests {
                     &dist,
                     &local,
                     Reduce::<Sum<f64>>::new(),
-                    |i, fetch| {
-                        let v = fetch.fetch(i + 1);
+                    |_, fetch| {
+                        let v = fetch.get(0);
                         (v, v * v)
                     },
                     |i, v| out[dist.local_index(i)] = v,
@@ -768,7 +768,7 @@ mod tests {
                     &dist,
                     &local,
                     Reduce::<Sum<f64>>::new(),
-                    |i, fetch| ((), fetch.fetch((i * 5) % 24)),
+                    |_, fetch| ((), fetch.get(0)),
                     |_, ()| {},
                 );
             }
@@ -808,7 +808,7 @@ mod tests {
                 &schedule,
                 &dist,
                 &local,
-                |i, fetch| fetch.fetch(i + 1),
+                |_, fetch| fetch.get(0),
                 |i, v| out[dist.local_index(i)] = v,
             );
             let trace = session.take_trace(proc);
@@ -819,7 +819,7 @@ mod tests {
                 &schedule,
                 &dist,
                 &local,
-                |i, fetch| fetch.fetch(i + 1),
+                |_, fetch| fetch.get(0),
                 |i, v| out[dist.local_index(i)] = v,
             );
             trace
@@ -862,7 +862,7 @@ mod tests {
                 &schedule,
                 &dist,
                 &local,
-                |i, fetch| fetch.fetch(i + 1),
+                |_, fetch| fetch.get(0),
                 |i, v| out[dist.local_index(i)] = v,
             );
             session.set_overlap(true);

@@ -33,7 +33,7 @@ use crate::schedule::CommSchedule;
 ///
 /// Iterations are exposed to the executor in *linearised* form (a single
 /// `usize` per iteration) so the 1-D schedule machinery — range records,
-/// binary-searchable receive buffers, the schedule cache — serves every
+/// the localized reference table, the schedule cache — serves every
 /// dimensionality unchanged.
 pub trait IterSpace: Clone + std::fmt::Debug {
     /// The distribution type placing this space's on-clause array (and the

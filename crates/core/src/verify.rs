@@ -176,6 +176,56 @@ pub enum Violation {
         /// The duplicated iteration.
         iter: usize,
     },
+    /// The localized reference table does not have one row per executed
+    /// iteration (`local_iters` + `nonlocal_iters`).
+    RefRowCountMismatch {
+        /// Rank of the schedule.
+        rank: usize,
+        /// Row starts the table holds (a well-formed table has one more
+        /// than it has rows).
+        row_starts: usize,
+        /// Iterations the schedule executes.
+        executed: usize,
+    },
+    /// The reference table's row starts do not ascend from 0 to the slot
+    /// count, so a row would slice outside the slots.
+    MalformedRefRows {
+        /// Rank of the schedule.
+        rank: usize,
+        /// Index of the first bad row start.
+        row: usize,
+    },
+    /// A reference slot points past the ghost-extended array
+    /// (`owned + recv_len` elements).
+    RefSlotOutOfRange {
+        /// Rank of the schedule.
+        rank: usize,
+        /// The iteration whose row holds the slot.
+        iter: usize,
+        /// The offending slot.
+        slot: usize,
+        /// `owned + recv_len`, the first invalid slot.
+        limit: usize,
+    },
+    /// A local iteration's row reads the receive buffer, which is still in
+    /// flight while local iterations run.
+    LocalRowReceivedSlot {
+        /// Rank of the schedule.
+        rank: usize,
+        /// The local iteration.
+        iter: usize,
+        /// The received slot it holds.
+        slot: usize,
+    },
+    /// A nonlocal iteration's row holds no received slot: the iteration
+    /// needs no communication, so the local/nonlocal split and the table
+    /// disagree.
+    NonlocalRowWithoutReceivedSlot {
+        /// Rank of the schedule.
+        rank: usize,
+        /// The nonlocal iteration.
+        iter: usize,
+    },
     /// Schedule at position `index` of the set does not carry rank `index`.
     ScheduleRankMismatch {
         /// Position in the schedule set.
@@ -411,6 +461,38 @@ impl fmt::Display for Violation {
                 f,
                 "rank {rank}: iteration {iter} is both local and nonlocal"
             ),
+            Violation::RefRowCountMismatch {
+                rank,
+                row_starts,
+                executed,
+            } => write!(
+                f,
+                "rank {rank}: reference table has {row_starts} row starts for {executed} \
+                 executed iterations (one row start per iteration, plus the end)"
+            ),
+            Violation::MalformedRefRows { rank, row } => write!(
+                f,
+                "rank {rank}: reference table row start #{row} breaks the ascending \
+                 0..=slots sequence"
+            ),
+            Violation::RefSlotOutOfRange {
+                rank,
+                iter,
+                slot,
+                limit,
+            } => write!(
+                f,
+                "rank {rank}: iteration {iter} reads slot {slot}, past the {limit} owned \
+                 and received elements"
+            ),
+            Violation::LocalRowReceivedSlot { rank, iter, slot } => write!(
+                f,
+                "rank {rank}: local iteration {iter} reads received slot {slot}"
+            ),
+            Violation::NonlocalRowWithoutReceivedSlot { rank, iter } => write!(
+                f,
+                "rank {rank}: nonlocal iteration {iter} reads no received element"
+            ),
             Violation::ScheduleRankMismatch { index, rank } => {
                 write!(f, "schedule at position {index} carries rank {rank}")
             }
@@ -548,8 +630,11 @@ pub fn render(violations: &[Violation]) -> String {
 // ----------------------------------------------------------------------
 
 /// Structurally verify one rank's schedule: record rank fields, sorting,
-/// dense non-overlapping receive layout, lookup consistency, and
-/// well-formed iteration lists.  Cross-rank properties (duality, deadlock
+/// dense non-overlapping receive layout, lookup consistency, well-formed
+/// iteration lists, and a localized reference table that serves them (one
+/// row per executed iteration, every slot inside `[owned | receive
+/// buffer]`, local rows reading only owned slots, nonlocal rows reading at
+/// least one received slot).  Cross-rank properties (duality, deadlock
 /// freedom) need the whole set — see [`check_schedule_set`].
 pub fn check_schedule(s: &CommSchedule) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -710,7 +795,59 @@ pub fn check_schedule(s: &CommSchedule) -> Vec<Violation> {
         }
     }
 
+    check_ref_table(s, &mut out);
     out
+}
+
+/// The reference-table half of [`check_schedule`].
+fn check_ref_table(s: &CommSchedule, out: &mut Vec<Violation>) {
+    let rank = s.rank;
+    let executed = s.local_iters.len() + s.nonlocal_iters.len();
+    if s.ref_rows.len() != executed + 1 {
+        out.push(Violation::RefRowCountMismatch {
+            rank,
+            row_starts: s.ref_rows.len(),
+            executed,
+        });
+        return;
+    }
+    let starts = &s.ref_rows;
+    if let Some(row) = (0..starts.len()).find(|&k| {
+        let bad_step = if k == 0 {
+            starts[0] != 0
+        } else {
+            starts[k] < starts[k - 1]
+        };
+        bad_step || (k == executed && starts[k] as usize != s.ref_slots.len())
+    }) {
+        out.push(Violation::MalformedRefRows { rank, row });
+        return;
+    }
+    let limit = s.owned + s.recv_len;
+    let iters = s.local_iters.iter().chain(&s.nonlocal_iters);
+    for (row, &iter) in iters.enumerate() {
+        let local_row = row < s.local_iters.len();
+        let mut received = false;
+        for &slot in s.ref_row(row) {
+            let slot = slot as usize;
+            if slot >= limit {
+                out.push(Violation::RefSlotOutOfRange {
+                    rank,
+                    iter,
+                    slot,
+                    limit,
+                });
+            } else if slot >= s.owned {
+                received = true;
+                if local_row {
+                    out.push(Violation::LocalRowReceivedSlot { rank, iter, slot });
+                }
+            }
+        }
+        if !local_row && !received {
+            out.push(Violation::NonlocalRowWithoutReceivedSlot { rank, iter });
+        }
+    }
 }
 
 /// Verify a whole machine's schedules at once: per-rank structure
@@ -1341,12 +1478,15 @@ mod tests {
     /// A consistent 2-rank schedule pair: rank 0 receives [8,10) from rank
     /// 1; rank 1 receives [6,8) from rank 0.
     fn sample_pair() -> Vec<CommSchedule> {
+        // block(16, 2): iterations 6, 7 read 8, 9 and 8, 9 read 6, 7.
+        let dist = DimDist::block(16, 2);
         let mut s0 = CommSchedule::from_recv_sets(
             0,
             &[IndexSet::new(), IndexSet::from_range(8, 10)],
             vec![0, 1, 2],
             vec![6, 7],
         );
+        s0.localize(&dist, |i, out| out.push(if i >= 6 { i + 2 } else { i }));
         s0.set_send_records(vec![RangeRecord {
             from_proc: 0,
             to_proc: 1,
@@ -1360,6 +1500,7 @@ mod tests {
             vec![12, 13],
             vec![8, 9],
         );
+        s1.localize(&dist, |i, out| out.push(if i < 10 { i - 2 } else { i }));
         s1.set_send_records(vec![RangeRecord {
             from_proc: 1,
             to_proc: 0,

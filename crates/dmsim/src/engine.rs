@@ -18,6 +18,16 @@
 //! Because clocks only ever move forward and merging is a `max`, the final
 //! clocks are a deterministic function of the program and the cost model —
 //! they do not depend on the host's thread scheduling.
+//!
+//! A wildcard receive (`recv_any`) is the one place where the host could
+//! leak in: which matching message a thread finds first follows thread
+//! scheduling, and `max(clock, arrival) + overhead` folded over a run of
+//! receives depends on their order.  So a run of back-to-back wildcard
+//! receives is timed as if its messages were taken in simulated-arrival
+//! order: each receive re-times the whole run from the clock before its
+//! first message.  The run ends at any other operation that moves the
+//! clock.  Returned values still come in host order (callers index them by
+//! source); the clocks no longer do.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kali_process::trace::{EventKind, TraceRecorder};
@@ -175,6 +185,7 @@ impl Machine {
                         pending: Vec::new(),
                         send_seqs: vec![0; p],
                         wildcard_recvs: 0,
+                        wildcard_run: WildcardRun::default(),
                         clock: 0.0,
                         counters: Counters::default(),
                         coll_seq: 0,
@@ -227,6 +238,9 @@ pub struct Proc {
     /// Wildcard receives completed so far — the decision counter the
     /// non-FIFO delivery policies key their choices on.
     wildcard_recvs: u64,
+    /// The current run of back-to-back wildcard receives (see the module
+    /// docs' timing model).
+    wildcard_run: WildcardRun,
     clock: f64,
     counters: Counters,
     /// Monotonic counter used to derive unique tags for collective
@@ -475,19 +489,51 @@ impl Proc {
     }
 
     fn complete_recv<T: 'static>(&mut self, wildcard: bool, env: Envelope) -> (usize, T) {
-        if env.arrival > self.clock {
-            self.clock = env.arrival;
+        if wildcard {
+            self.clock = self
+                .wildcard_run
+                .time(self.clock, env.arrival, self.cost.recv_overhead);
+            self.wildcard_recvs += 1;
+        } else {
+            self.clock = self.clock.max(env.arrival) + self.cost.recv_overhead;
         }
-        self.clock += self.cost.recv_overhead;
         self.counters.msgs_recv += 1;
         self.counters.bytes_recv += env.bytes as u64;
-        if wildcard {
-            self.wildcard_recvs += 1;
-        }
         let src = env.src;
         self.recorder
             .record(self.rank, EventKind::Recv { src, tag: env.tag });
         (src, env.into_payload())
+    }
+}
+
+/// A run of back-to-back wildcard receives, timed in simulated-arrival
+/// order (see the module docs' timing model).
+#[derive(Debug, Default)]
+struct WildcardRun {
+    /// The clock before the run's first receive.
+    start: f64,
+    /// The clock after its latest receive.
+    end: f64,
+    /// Arrival times of the run's messages, ascending.
+    arrivals: Vec<f64>,
+}
+
+impl WildcardRun {
+    /// Add a message arriving at `arrival` to the run (starting a new run
+    /// unless the clock still stands where the last receive left it) and
+    /// return the clock after the whole run.
+    fn time(&mut self, clock: f64, arrival: f64, overhead: f64) -> f64 {
+        if self.arrivals.is_empty() || self.end.to_bits() != clock.to_bits() {
+            self.start = clock;
+            self.arrivals.clear();
+        }
+        let at = self.arrivals.partition_point(|&a| a <= arrival);
+        self.arrivals.insert(at, arrival);
+        self.end = self
+            .arrivals
+            .iter()
+            .fold(self.start, |c, &a| c.max(a) + overhead);
+        self.end
     }
 }
 
@@ -677,6 +723,41 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "logical clocks must not depend on host scheduling");
+    }
+
+    #[test]
+    fn wildcard_receive_clocks_ignore_the_host_delivery_order() {
+        // Force the host order in which two messages reach rank 0 (with
+        // host-side sequencing that never touches a simulated clock): the
+        // late-arriving message (rank 1 computes first) is physically
+        // queued first in one run and last in the other.  The receiver's
+        // clock must come out the same.
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let receiver_clock = |first: usize| {
+            let turn = AtomicUsize::new(0);
+            let (_, stats) = Machine::new(3, CostModel::ncube7()).run_stats(|p| {
+                if p.rank() == 0 {
+                    while turn.load(SeqCst) < 2 {
+                        std::thread::yield_now();
+                    }
+                    for _ in 0..2 {
+                        let _: (usize, u64) = p.recv_any(5);
+                    }
+                } else {
+                    if p.rank() == 1 {
+                        p.charge_flops(1000);
+                    }
+                    let my_turn = usize::from(p.rank() != first);
+                    while turn.load(SeqCst) != my_turn {
+                        std::thread::yield_now();
+                    }
+                    p.send(0, 5, p.rank() as u64);
+                    turn.fetch_add(1, SeqCst);
+                }
+            });
+            stats.clocks[0]
+        };
+        assert_eq!(receiver_clock(1).to_bits(), receiver_clock(2).to_bits());
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
 
     // Local pieces of the Figure 4 arrays under the current distribution.
     let mut a: Vec<f64> = dist.local_set(rank).iter().map(|g| initial[g]).collect();
-    let (mut count, mut adj, mut coef, mut width) = scatter_mesh(&mesh, &dist, rank);
+    let (mut count, mut coef, mut width) = scatter_mesh(&mesh, &dist, rank);
     let mut old_a: Vec<f64> = vec![0.0; a.len()];
 
     let start_clock = proc.time();
@@ -203,9 +203,9 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
                 dist = new_dist;
                 relaxation.on_dist = dist.clone();
             }
-            // Re-scatter adj/coef from the adapted mesh (count/degrees may
-            // have changed even without a redistribution).
-            (count, adj, coef, width) = scatter_mesh(&mesh, &dist, rank);
+            // Re-scatter count/coef from the adapted mesh (degrees may have
+            // changed even without a redistribution).
+            (count, coef, width) = scatter_mesh(&mesh, &dist, rank);
             old_a.resize(a.len(), 0.0);
             adapt_time += proc.time() - before_adapt;
         }
@@ -218,18 +218,9 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
         }
 
         // -- plan the relaxation (inspector only on version/placement change)
-        let schedule = {
-            let dist_ref = &dist;
-            let count_ref = &count;
-            let adj_ref = &adj;
-            session.plan_indirect(proc, &relaxation, &dist, |i, refs| {
-                let l = dist_ref.local_index(i);
-                let deg = count_ref[l] as usize;
-                for j in 0..deg {
-                    refs.push(adj_ref[l * width + j] as usize);
-                }
-            })
-        };
+        let schedule = session.plan_indirect(proc, &relaxation, &dist, |i, refs| {
+            refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize));
+        });
 
         // -- perform the relaxation ----------------------------------------
         // The body returns each node's local offset with its new value; the
@@ -245,9 +236,8 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
                 let deg = count[l] as usize;
                 let mut x = 0.0f64;
                 for j in 0..deg {
-                    let nb = adj[l * width + j] as usize;
                     let c = coef[l * width + j];
-                    x += c * fetch.fetch(nb);
+                    x += c * fetch.get(j); // old_a[adj[i,j]], localized
                 }
                 // Charged once per node: the chunk sums its counts before
                 // flushing, so bulk and per-neighbour charging are the same.
@@ -286,28 +276,30 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
     }
 }
 
-/// Scatter the mesh's `count`/`adj`/`coef` arrays to this rank's local rows
-/// under `dist` (the untimed set-up of Figure 4, repeated after every
+/// Scatter the mesh's `count`/`coef` arrays to this rank's local rows under
+/// `dist` (the untimed set-up of Figure 4, repeated after every
 /// adaptation).  Shared with the other mesh solvers (CG, red–black).
+///
+/// Figure 4's `adj` array is not scattered: its subscripts are read once,
+/// at plan time, straight from the mesh by the inspector's reference
+/// enumerator, and the executor reads the localized reference table in
+/// their place.
 pub(crate) fn scatter_mesh(
     mesh: &AdjacencyMesh,
     dist: &DimDist,
     rank: usize,
-) -> (Vec<u32>, Vec<u32>, Vec<f64>, usize) {
+) -> (Vec<u32>, Vec<f64>, usize) {
     let width = mesh.max_degree();
     let local_rows = dist.local_count(rank);
     let mut count = Vec::with_capacity(local_rows);
-    let mut adj = vec![0u32; local_rows * width];
     let mut coef = vec![0.0f64; local_rows * width];
     for l in 0..local_rows {
         let g = dist.global_index(rank, l);
-        let nbrs = mesh.neighbors(g);
         let cs = mesh.coefs(g);
-        count.push(nbrs.len() as u32);
-        adj[l * width..l * width + nbrs.len()].copy_from_slice(nbrs);
+        count.push(mesh.degree(g) as u32);
         coef[l * width..l * width + cs.len()].copy_from_slice(cs);
     }
-    (count, adj, coef, width)
+    (count, coef, width)
 }
 
 /// Sequential replay of the same adaptive run: identical adaptation

@@ -157,7 +157,7 @@ pub fn cg_solve<P: Process>(
     let direction = session.loop_1d(n, dist.clone());
 
     // ---- Set-up (untimed): scatter the operator and the vectors ----------
-    let (mut count, mut adj, _coef, mut width) = scatter_mesh(&mesh, dist, rank);
+    let mut count = scatter_mesh(&mesh, dist, rank).0;
     let local_rows = dist.local_count(rank);
     let mut x = vec![0.0f64; local_rows];
     let mut r: Vec<f64> = (0..local_rows)
@@ -215,22 +215,18 @@ pub fn cg_solve<P: Process>(
             mesh = adapt_step(&mesh, &config.adapt, adaptations);
             adaptations += 1;
             session.bump_data_version();
-            (count, adj, _, width) = scatter_mesh(&mesh, dist, rank);
+            count = scatter_mesh(&mesh, dist, rank).0;
         }
 
         // -- q := A p, fused with pq = ⟨p, q⟩ -----------------------------
         let matvec_schedule = session.plan_indirect(proc, &matvec, dist, |i, refs| {
-            let l = dist.local_index(i);
-            for j in 0..count[l] as usize {
-                refs.push(adj[l * width + j] as usize);
-            }
+            refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize));
         });
         recv_elements = matvec_schedule.recv_len;
         schedule_ranges = matvec_schedule.range_count();
         let pq = {
             let p_ref = &p;
             let count_ref = &count;
-            let adj_ref = &adj;
             let q_mut = &mut q;
             session.execute_reduce(
                 proc,
@@ -248,8 +244,7 @@ pub fn cg_solve<P: Process>(
                     for j in 0..deg {
                         fetch.charge_loop_iters(1);
                         fetch.charge_mem_refs(1); // adj[i,j]
-                        let nb = adj_ref[l * width + j] as usize;
-                        let v = fetch.fetch(nb);
+                        let v = fetch.get(j); // p[adj[i,j]], localized
                         fetch.charge_flops(1);
                         acc -= v;
                     }

@@ -30,6 +30,8 @@ use kali_core::process::{Counters, Process};
 use kali_core::{AffineMap, Reduce, Session, Sum};
 use meshes::AdjacencyMesh;
 
+use crate::adaptive::scatter_mesh;
+
 /// Parameters of a Jacobi run.
 #[derive(Debug, Clone)]
 pub struct JacobiConfig {
@@ -142,31 +144,20 @@ pub fn jacobi_sweeps<P: Process>(
     let n = mesh.len();
     assert_eq!(dist.n(), n, "distribution must cover every mesh node");
     assert_eq!(initial.len(), n, "initial field must cover every mesh node");
-    let width = mesh.max_degree();
 
     // ---- Set-up ("code to set up arrays 'adj' and 'coef'", untimed) -------
-    // Every distributed array of Figure 4, scattered according to `dist`:
+    // The distributed arrays of Figure 4, scattered according to `dist`:
     //   a, old_a : real[n]         dist by [block]
     //   count    : integer[n]      dist by [block]
-    //   adj      : integer[n, w]   dist by [block, *]
     //   coef     : real[n, w]      dist by [block, *]
+    // `adj : integer[n, w]` is read only by the inspector, straight from the
+    // mesh (see `scatter_mesh`); the sweeps read its localized table.
     let local_rows = dist.local_count(rank);
     let mut a: Vec<f64> = (0..local_rows)
         .map(|l| initial[dist.global_index(rank, l)])
         .collect();
     let mut old_a: Vec<f64> = vec![0.0; local_rows];
-    let count: Vec<u32> = (0..local_rows)
-        .map(|l| mesh.degree(dist.global_index(rank, l)) as u32)
-        .collect();
-    let mut adj: Vec<u32> = vec![0; local_rows * width];
-    let mut coef: Vec<f64> = vec![0.0; local_rows * width];
-    for l in 0..local_rows {
-        let g = dist.global_index(rank, l);
-        let nbrs = mesh.neighbors(g);
-        let cs = mesh.coefs(g);
-        adj[l * width..l * width + nbrs.len()].copy_from_slice(nbrs);
-        coef[l * width..l * width + cs.len()].copy_from_slice(cs);
-    }
+    let (count, coef, width) = scatter_mesh(mesh, dist, rank);
 
     let mut session = Session::new().overlap(config.overlap);
     if let Some(w) = config.workers {
@@ -181,7 +172,6 @@ pub fn jacobi_sweeps<P: Process>(
     // the closed form (zero planning messages), reduced through the typed
     // pipeline.
     let convergence = session.loop_1d(n, dist.clone());
-    let exec_iters = relaxation.exec_iters(rank);
 
     let start_clock = proc.time();
     let counters_start = proc.counters();
@@ -205,11 +195,7 @@ pub fn jacobi_sweeps<P: Process>(
             session.bump_data_version();
         }
         let schedule = session.plan_indirect(proc, &relaxation, dist, |i, refs| {
-            let l = dist.local_index(i);
-            let deg = count[l] as usize;
-            for j in 0..deg {
-                refs.push(adj[l * width + j] as usize);
-            }
+            refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize));
         });
         schedule_ranges = schedule.range_count();
         recv_elements = schedule.recv_len;
@@ -219,7 +205,10 @@ pub fn jacobi_sweeps<P: Process>(
         // Chunked executor: the body computes each node's new value on a
         // worker thread against a read-only view; the sink applies the
         // writes on the calling thread in ascending iteration order.
-        debug_assert_eq!(exec_iters.len(), local_rows);
+        debug_assert_eq!(
+            schedule.local_iters.len() + schedule.nonlocal_iters.len(),
+            local_rows
+        );
         {
             let a_mut = &mut a;
             session.execute(
@@ -236,9 +225,8 @@ pub fn jacobi_sweeps<P: Process>(
                     for j in 0..deg {
                         fetch.charge_loop_iters(1);
                         fetch.charge_mem_refs(2); // adj[i,j], coef[i,j]
-                        let nb = adj[l * width + j] as usize;
                         let c = coef[l * width + j];
-                        let v = fetch.fetch(nb);
+                        let v = fetch.get(j); // old_a[adj[i,j]], localized
                         fetch.charge_flops(2); // multiply + accumulate
                         x += c * v;
                     }

@@ -216,7 +216,7 @@ pub fn multidim_sweeps<P: Process>(
     // One stencil phase: `sweeps_per_phase` sweeps of a pre-planned stencil
     // under `dist`, double-buffered through `old_a`.
     macro_rules! stencil_phase {
-        ($label:literal, $loop_:expr, $schedule:expr, $dist:expr, $stride:expr) => {{
+        ($label:literal, $loop_:expr, $schedule:expr, $dist:expr) => {{
             let phase_clock = proc.time();
             let phase_counters = proc.counters();
             let dist = $dist;
@@ -238,9 +238,11 @@ pub fn multidim_sweeps<P: Process>(
                     dist,
                     &old_a,
                     |g, fetch| {
-                        let lo = fetch.fetch(g - $stride);
-                        let mid = fetch.fetch(g);
-                        let hi = fetch.fetch(g + $stride);
+                        // The planned references, in map order: the
+                        // neighbour before, the element, the neighbour after.
+                        let lo = fetch.get(0);
+                        let mid = fetch.get(1);
+                        let hi = fetch.get(2);
                         fetch.charge_flops(5);
                         fetch.charge_mem_refs(1);
                         (dist.local_index(g), 0.25 * lo + 0.5 * mid + 0.25 * hi)
@@ -278,17 +280,17 @@ pub fn multidim_sweeps<P: Process>(
     for _round in 0..config.rounds {
         match config.strategy {
             PhaseStrategy::RowsThroughout => {
-                stencil_phase!("vertical", loop_v, schedule_v, &rows_dist, c);
-                stencil_phase!("horizontal", loop_h, schedule_h, &rows_dist, 1);
+                stencil_phase!("vertical", loop_v, schedule_v, &rows_dist);
+                stencil_phase!("horizontal", loop_h, schedule_h, &rows_dist);
             }
             PhaseStrategy::PhaseChange => {
                 // Columns local for the vertical stencil, rows local for the
                 // horizontal one: each phase runs on the placement that makes
                 // it communication free.
                 redistribute_phase!(&rows_dist, &cols_dist);
-                stencil_phase!("vertical", loop_v, schedule_v, &cols_dist, c);
+                stencil_phase!("vertical", loop_v, schedule_v, &cols_dist);
                 redistribute_phase!(&cols_dist, &rows_dist);
-                stencil_phase!("horizontal", loop_h, schedule_h, &rows_dist, 1);
+                stencil_phase!("horizontal", loop_h, schedule_h, &rows_dist);
             }
         }
     }

@@ -157,7 +157,7 @@ pub fn redblack_sweeps<P: Process>(
     let red = session.loop_over(Stripe::new(0, n, 2), dist.clone());
     let black = session.loop_over(Stripe::new(1, n, 2), dist.clone());
 
-    let (count, adj, coef, width) = scatter_mesh(mesh, dist, rank);
+    let (count, coef, width) = scatter_mesh(mesh, dist, rank);
     let local_rows = dist.local_count(rank);
     let mut a: Vec<f64> = (0..local_rows)
         .map(|l| initial[dist.global_index(rank, l)])
@@ -194,10 +194,7 @@ pub fn redblack_sweeps<P: Process>(
         (stripe_schedule(0), stripe_schedule(1))
     } else {
         let refs_of = |i: usize, refs: &mut Vec<usize>| {
-            let l = dist.local_index(i);
-            for j in 0..count[l] as usize {
-                refs.push(adj[l * width + j] as usize);
-            }
+            refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize));
         };
         (
             session.plan_indirect(proc, &red, dist, refs_of),
@@ -222,18 +219,16 @@ pub fn redblack_sweeps<P: Process>(
             }
             let old_ref = &old_a;
             let count_ref = &count;
-            let adj_ref = &adj;
             let coef_ref = &coef;
-            let body_value = |l: usize, fetch: &mut kali_core::Fetcher<'_, f64, DimDist>| -> f64 {
+            let body_value = |l: usize, fetch: &mut kali_core::Fetcher<'_, f64>| -> f64 {
                 fetch.charge_mem_refs(2); // count[i], a[i]
                 let deg = count_ref[l] as usize;
                 let mut acc = 0.0f64;
                 for j in 0..deg {
                     fetch.charge_loop_iters(1);
                     fetch.charge_mem_refs(2); // adj[i,j], coef[i,j]
-                    let nb = adj_ref[l * width + j] as usize;
                     let c = coef_ref[l * width + j];
-                    let v = fetch.fetch(nb);
+                    let v = fetch.get(j); // old_a[adj[i,j]], localized
                     fetch.charge_flops(2);
                     acc += c * v;
                 }

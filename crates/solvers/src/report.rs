@@ -4,7 +4,8 @@
 ///
 /// `messages`/`bytes` come straight from the dmsim counters (all traffic:
 /// inspector exchange, executor data, collectives); `nonlocal_refs` counts
-/// the executor's binary-search fetches from the communication buffer — the
+/// the executor's reads from the communication buffer (charged at the
+/// paper's binary-search cost) — the
 /// direct locality metric a placement optimises; `halo_elements` is the
 /// number of distinct elements received per sweep (summed over processors);
 /// the cache counters record how often the schedule cache spared an

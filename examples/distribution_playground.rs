@@ -71,9 +71,10 @@ fn main() {
                 &schedule,
                 &dist,
                 &local_a,
-                |i, fetch| {
+                |_, fetch| {
                     fetch.charge_flops(3);
-                    (fetch.fetch(i - 1) + fetch.fetch(i) + fetch.fetch(i + 1)) / 3.0
+                    // References 0, 1, 2: A[i-1], A[i], A[i+1], as planned.
+                    (fetch.get(0) + fetch.get(1) + fetch.get(2)) / 3.0
                 },
                 |i, v| local_b[dist.local_index(i)] = v,
             );

@@ -50,7 +50,7 @@ fn main() {
             &schedule,
             &dist,
             &local_a,
-            |i, fetch| fetch.fetch(i + 1),
+            |_, fetch| fetch.get(0),
             |i, v| new_a[dist.local_index(i)] = v,
         );
 

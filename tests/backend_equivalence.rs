@@ -341,7 +341,7 @@ fn shift_on<P: Process>(proc: &mut P, n: usize) -> Vec<f64> {
         &schedule,
         &dist,
         &local_a,
-        |i, fetch| fetch.fetch(i + 1),
+        |_, fetch| fetch.get(0),
         |i, v| out[dist.local_index(i)] = v,
     );
     out

@@ -39,7 +39,7 @@ fn reduce_on<P: Process, R: ReduceOp<Input = f64, Acc = f64>>(
         dist,
         &local,
         Reduce::<R>::new(),
-        |i, fetch| ((), fetch.fetch(i)),
+        |_, fetch| ((), fetch.get(0)),
         |_, ()| {},
     )
 }

@@ -29,6 +29,11 @@
 //! | record range absent from the lookup     | `LookupMiss`                |
 //! | iteration list out of order             | `UnsortedIterations`        |
 //! | iteration in both local & nonlocal list | `OverlappingIterationLists` |
+//! | reference table missing a row           | `RefRowCountMismatch`       |
+//! | reference table row starts descending   | `MalformedRefRows`          |
+//! | reference slot past owned + received    | `RefSlotOutOfRange`         |
+//! | local iteration reading the recv buffer | `LocalRowReceivedSlot`      |
+//! | nonlocal iteration reading nothing recv | `NonlocalRowWithoutReceivedSlot` |
 //! | schedule stored under the wrong rank    | `ScheduleRankMismatch`      |
 //! | nonlocal iteration filed as local       | `LocalIterNonlocalRef`      |
 //! | modelled send/recv with no counterpart  | `UnmatchedMessage`          |
@@ -94,7 +99,7 @@ fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<CollectiveCall>>) {
             &dist,
             &local,
             Reduce::<Sum<f64>>::new(),
-            |i, fetch| ((), fetch.fetch(i)),
+            |_, fetch| ((), fetch.get(1)),
             |_, ()| {},
         );
         let _ = session.execute_reduce(
@@ -104,7 +109,7 @@ fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<CollectiveCall>>) {
             &dist,
             &local,
             Reduce::<Norm2>::new(),
-            |i, fetch| ((), fetch.fetch(i)),
+            |_, fetch| ((), fetch.get(1)),
             |_, ()| {},
         );
         ((*schedule).clone(), session.collective_trace().to_vec())
@@ -423,6 +428,103 @@ fn record_ranges_absent_from_the_lookup_are_rejected() {
 }
 
 #[test]
+fn reference_table_missing_a_row_is_rejected() {
+    let (mut set, _) = planned_stencil();
+    // The executor walks one table row per executed iteration; drop the
+    // last row start.
+    set[1].ref_rows.pop();
+    let executed = set[1].local_iters.len() + set[1].nonlocal_iters.len();
+    let violations = check_schedule(&set[1]);
+    assert!(
+        violations.iter().any(|v| matches!(
+            *v,
+            Violation::RefRowCountMismatch { rank: 1, row_starts, executed: e }
+                if row_starts == executed && e == executed
+        )),
+        "expected RefRowCountMismatch on rank 1, got:\n{violations:#?}"
+    );
+}
+
+#[test]
+fn descending_reference_row_starts_are_rejected() {
+    let (mut set, _) = planned_stencil();
+    // Row 2 starts before row 1 does: the row would slice backwards.
+    set[1].ref_rows[2] = set[1].ref_rows[1] - 1;
+    let violations = check_schedule(&set[1]);
+    assert!(
+        violations
+            .iter()
+            .any(|v| matches!(*v, Violation::MalformedRefRows { rank: 1, row: 2 })),
+        "expected MalformedRefRows at row 2 on rank 1, got:\n{violations:#?}"
+    );
+}
+
+#[test]
+fn reference_slots_past_the_ghost_extended_array_are_rejected() {
+    let (mut set, _) = planned_stencil();
+    // The first slot of rank 1's first local iteration points one past the
+    // last received element.
+    let limit = set[1].owned + set[1].recv_len;
+    set[1].ref_slots[0] = limit as u32;
+    let iter = set[1].local_iters[0];
+    let violations = check_schedule(&set[1]);
+    assert!(
+        violations.iter().any(|v| matches!(
+            *v,
+            Violation::RefSlotOutOfRange { rank: 1, iter: i, slot, limit: l }
+                if i == iter && slot == limit && l == limit
+        )),
+        "expected RefSlotOutOfRange on rank 1, got:\n{violations:#?}"
+    );
+}
+
+#[test]
+fn local_iterations_reading_the_receive_buffer_are_rejected() {
+    let (mut set, _) = planned_stencil();
+    // A local iteration runs while the halo is still in flight (the
+    // overlap of Figure 3); point one of its slots at the receive buffer.
+    assert!(set[1].recv_len > 0);
+    let received = set[1].owned as u32;
+    set[1].ref_slots[0] = received;
+    let iter = set[1].local_iters[0];
+    let violations = check_schedule(&set[1]);
+    assert!(
+        violations.iter().any(|v| matches!(
+            *v,
+            Violation::LocalRowReceivedSlot { rank: 1, iter: i, slot }
+                if i == iter && slot == received as usize
+        )),
+        "expected LocalRowReceivedSlot on rank 1, got:\n{violations:#?}"
+    );
+}
+
+#[test]
+fn nonlocal_iterations_reading_no_received_element_are_rejected() {
+    let (mut set, _) = planned_stencil();
+    // Redirect every received slot of rank 1's first nonlocal iteration to
+    // an owned element: the table no longer needs the communication the
+    // local/nonlocal split planned for it.
+    let s = &mut set[1];
+    let row = s.local_iters.len();
+    let (lo, hi) = (s.ref_rows[row] as usize, s.ref_rows[row + 1] as usize);
+    let owned = s.owned as u32;
+    for slot in &mut s.ref_slots[lo..hi] {
+        if *slot >= owned {
+            *slot = 0;
+        }
+    }
+    let iter = s.nonlocal_iters[0];
+    let violations = check_schedule(&set[1]);
+    assert!(
+        violations.iter().any(|v| matches!(
+            *v,
+            Violation::NonlocalRowWithoutReceivedSlot { rank: 1, iter: i } if i == iter
+        )),
+        "expected NonlocalRowWithoutReceivedSlot on rank 1, got:\n{violations:#?}"
+    );
+}
+
+#[test]
 fn unsorted_iteration_lists_are_rejected() {
     let (mut set, _) = planned_stencil();
     // Iteration lists are strictly ascending (the executor relies on it for
@@ -628,6 +730,11 @@ fn variant_name(v: &Violation) -> &'static str {
         Violation::LookupMiss { .. } => "LookupMiss",
         Violation::UnsortedIterations { .. } => "UnsortedIterations",
         Violation::OverlappingIterationLists { .. } => "OverlappingIterationLists",
+        Violation::RefRowCountMismatch { .. } => "RefRowCountMismatch",
+        Violation::MalformedRefRows { .. } => "MalformedRefRows",
+        Violation::RefSlotOutOfRange { .. } => "RefSlotOutOfRange",
+        Violation::LocalRowReceivedSlot { .. } => "LocalRowReceivedSlot",
+        Violation::NonlocalRowWithoutReceivedSlot { .. } => "NonlocalRowWithoutReceivedSlot",
         Violation::ScheduleRankMismatch { .. } => "ScheduleRankMismatch",
         Violation::DanglingRecv { .. } => "DanglingRecv",
         Violation::DanglingSend { .. } => "DanglingSend",
@@ -704,6 +811,24 @@ fn every_violation_variant_is_constructible_and_renders() {
             index: 1,
         },
         Violation::OverlappingIterationLists { rank: 1, iter: 9 },
+        Violation::RefRowCountMismatch {
+            rank: 1,
+            row_starts: 8,
+            executed: 8,
+        },
+        Violation::MalformedRefRows { rank: 1, row: 2 },
+        Violation::RefSlotOutOfRange {
+            rank: 1,
+            iter: 9,
+            slot: 10,
+            limit: 10,
+        },
+        Violation::LocalRowReceivedSlot {
+            rank: 1,
+            iter: 9,
+            slot: 8,
+        },
+        Violation::NonlocalRowWithoutReceivedSlot { rank: 1, iter: 8 },
         Violation::ScheduleRankMismatch { index: 2, rank: 3 },
         Violation::DanglingRecv {
             rank: 1,
@@ -795,7 +920,7 @@ fn every_violation_variant_is_constructible_and_renders() {
     names.dedup();
     assert_eq!(
         names.len(),
-        27,
+        32,
         "every Violation variant must appear exactly once in the audit"
     );
 }
